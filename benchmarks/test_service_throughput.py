@@ -25,6 +25,7 @@ from harness import (
 from repro.datasets.queries import seeded_clique_query
 from repro.runtime import Outcome
 from repro.service import QueryService, ServiceConfig
+from repro.service.metrics import assert_accounted
 
 import random
 
@@ -110,7 +111,7 @@ def test_service_throughput(capsys):
 
     total = CLIENTS * REQUESTS_PER_CLIENT
     assert len(responses) == total
-    assert stats["admitted"] + stats["rejected"] == stats["submitted"]
+    assert_accounted(stats)
     executed = [r for r in responses if not r.rejected]
     assert executed
     for response in executed:

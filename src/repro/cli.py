@@ -247,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "address is printed on startup)")
     serve.add_argument("--workers", type=int, default=4,
                        help="worker pool size")
-    serve.add_argument("--processes", action="store_true",
-                       help="use a process pool (CPU parallelism; "
-                            "per-request cancel cannot reach workers)")
     serve.add_argument("--queue-depth", type=int, default=16,
                        help="admitted requests that may wait beyond the "
                             "running ones; more are REJECTED")
@@ -809,7 +806,6 @@ def _serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         per_client=args.per_client,
-        use_processes=args.processes,
         default_timeout=args.timeout,
         default_max_steps=args.max_steps,
         default_max_results=args.limit,
@@ -875,8 +871,7 @@ def _serve(args: argparse.Namespace) -> int:
         print(f"metrics on {metrics_host}:{metrics_port} "
               f"(/metrics /stats /health /ready)", flush=True)
     print(f"serving {len(graphs)} graph(s) on {host}:{port} "
-          f"({config.workers} {'process' if args.processes else 'thread'} "
-          f"worker(s), queue {config.queue_depth}, "
+          f"({config.workers} thread worker(s), queue {config.queue_depth}, "
           f"timeout {config.default_timeout:g}s)", flush=True)
     # machine-readable startup line: with ``--port 0`` the OS picks the
     # port, and supervisors (repro.cluster bootstrap, smoke harnesses)

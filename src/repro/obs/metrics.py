@@ -7,11 +7,9 @@ distinguished by static labels (``labels={"status": "COMPLETE"}``).
 (``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket{le="..."}``
 samples) and :func:`render_json` a JSON mirror of the same data.
 
-:class:`Histogram` is the generalization of what used to be
-``repro.service.metrics.LatencyHistogram`` (which is now an alias of
-it): fixed sorted bucket bounds, :func:`bisect.bisect_left` bucket
-lookup instead of a linear scan, cumulative Prometheus-style counts in
-:meth:`Histogram.snapshot`.
+:class:`Histogram` has fixed sorted bucket bounds,
+:func:`bisect.bisect_left` bucket lookup instead of a linear scan, and
+cumulative Prometheus-style counts in :meth:`Histogram.snapshot`.
 
 Metric naming conventions (see ``docs/observability.md``): prefix
 ``repro_``, snake_case, ``_total`` suffix on counters, ``_seconds`` /
@@ -131,9 +129,7 @@ class Histogram:
     """Fixed-bucket histogram with cumulative Prometheus semantics.
 
     ``observe`` locates the bucket by binary search over the sorted
-    bounds (the old linear scan was O(buckets) on every request);
-    ``record`` is kept as an alias for the previous
-    ``LatencyHistogram.record`` API.
+    bounds (the old linear scan was O(buckets) on every request).
     """
 
     kind = "histogram"
@@ -161,9 +157,6 @@ class Histogram:
             self.sum += value
             if value > self.max:
                 self.max = value
-
-    #: Back-compat spelling (the old ``LatencyHistogram.record``).
-    record = observe
 
     def quantile(self, q: float) -> float:
         """Approximate quantile (upper bound of the covering bucket)."""

@@ -20,7 +20,7 @@ See ``docs/service.md`` for the protocol specification and tuning notes.
 from .admission import AdmissionController
 from .cache import CachedPlan, LRUCache, PlanCache, ResultCache
 from .config import ServiceConfig
-from .metrics import LatencyHistogram, ServiceMetrics
+from .metrics import ServiceMetrics
 from .service import QueryRequest, QueryResponse, QueryService
 from .client import ServiceClient
 from .server import QueryServer
@@ -29,7 +29,6 @@ __all__ = [
     "AdmissionController",
     "CachedPlan",
     "LRUCache",
-    "LatencyHistogram",
     "PlanCache",
     "QueryRequest",
     "QueryResponse",

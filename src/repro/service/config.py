@@ -19,10 +19,10 @@ class ServiceConfig:
 
     Sizing rules of thumb:
 
-    * ``workers`` bounds CPU use.  The matcher is pure Python, so thread
-      workers only overlap during the interpreter's frequent GIL yields;
-      ``use_processes=True`` trades per-request cancellation and shared
-      graph mutation for true CPU parallelism.
+    * ``workers`` bounds CPU use.  The matcher is pure Python, so worker
+      threads only overlap during the interpreter's frequent GIL yields;
+      for more than one core, shard the collection over a cluster
+      (``repro-gql cluster serve``).
     * ``queue_depth`` is how many admitted requests may *wait* beyond the
       ones actively running.  Admission rejects (it never blocks) once
       ``workers + queue_depth`` requests are in flight — load shedding
@@ -37,7 +37,6 @@ class ServiceConfig:
     workers: int = 4
     queue_depth: int = 16
     per_client: int = 8
-    use_processes: bool = False
 
     # per-request governance defaults (None = unlimited)
     default_timeout: Optional[float] = 30.0

@@ -9,26 +9,23 @@ Prometheus text via ``repro-gql stats --format prometheus`` or the
 ``snapshot()``, ``summary()``, and plain-integer attribute reads
 (``metrics.result_cache_hits`` …) all keep working.
 
-``LatencyHistogram`` and ``DEFAULT_BUCKETS`` are back-compat aliases of
-:class:`repro.obs.metrics.Histogram` and its default bucket bounds.
+Every submission ends admitted, rejected or shed, so
+``submitted == admitted + rejected + shed``.  That identity is defined
+once, in the ``accounting`` block of :meth:`ServiceMetrics.snapshot`,
+and checked everywhere through :func:`assert_accounted`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
-from ..obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS as DEFAULT_BUCKETS,
-    Histogram as LatencyHistogram,
-    MetricsRegistry,
-)
+from ..obs.metrics import MetricsRegistry
 from ..runtime import Outcome
 
 __all__ = [
-    "DEFAULT_BUCKETS",
-    "LatencyHistogram",
     "MetricsRegistry",
     "ServiceMetrics",
+    "assert_accounted",
 ]
 
 #: Integer counters the service bumps by name via ``count()``; each is
@@ -159,6 +156,25 @@ class ServiceMetrics:
         return {client: counter.value
                 for client, counter in self._client_retries.items()}
 
+    def accounting(self) -> Dict[str, int]:
+        """The request-accounting identity and its violation.
+
+        Every submission is admitted, rejected (admission control or
+        static analysis) or shed (deadline or breaker), so ``unaccounted``
+        is 0 unless a path forgot to count.
+        """
+        submitted = self._counters["submitted"].value
+        admitted = self._counters["admitted"].value
+        rejected = self._counters["rejected"].value
+        shed = self.shed
+        return {
+            "submitted": submitted,
+            "admitted": admitted,
+            "rejected": rejected,
+            "shed": shed,
+            "unaccounted": submitted - (admitted + rejected + shed),
+        }
+
     def record_outcome(self, status: Outcome,
                        latency: Optional[float] = None) -> None:
         """Account one finished request: outcome plus optional latency."""
@@ -191,6 +207,7 @@ class ServiceMetrics:
                 "misses": self._counters["plan_cache_misses"].value,
             },
             "shed": self.shed_snapshot(),
+            "accounting": self.accounting(),
             "watchdog_recycles": self._counters["watchdog_recycles"].value,
             "watchdog_abandoned": self._counters["watchdog_abandoned"].value,
             "duplicate_requests": self._counters["duplicate_requests"].value,
@@ -215,3 +232,15 @@ class ServiceMetrics:
             f"p50={latency['p50'] * 1000:.1f}ms "
             f"p95={latency['p95'] * 1000:.1f}ms"
         )
+
+
+def assert_accounted(stats: Mapping[str, Any]) -> None:
+    """Raise AssertionError unless a ``stats`` snapshot balances.
+
+    The one check of ``submitted == admitted + rejected + shed`` that
+    tests, drills and benchmarks share; it reads the ``accounting``
+    block, so it works on a live snapshot and on one sent over the wire.
+    """
+    accounting = stats["accounting"]
+    if accounting["unaccounted"] != 0:
+        raise AssertionError(f"accounting broken: {accounting}")

@@ -3,7 +3,7 @@
 One service wraps one :class:`~repro.storage.database.GraphDatabase` and
 adds everything the library-level matcher lacks for serving traffic:
 
-* a bounded worker pool (threads by default, processes opt-in),
+* a bounded worker-thread pool,
 * admission control (global + per-client bounds, structured rejection),
 * a prepared-query/plan cache and a version-invalidated result cache,
 * per-request :class:`~repro.runtime.ExecutionContext` governance with
@@ -22,7 +22,7 @@ import itertools
 import logging
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -51,7 +51,6 @@ from ..runtime import (
     shed_outcome,
 )
 from ..storage.database import GraphDatabase
-from ..storage.serializer import collection_to_text
 from .admission import (
     REASON_DRAINING,
     REASON_DUPLICATE_ID,
@@ -61,7 +60,6 @@ from .admission import (
 from .cache import CachedPlan, LRUCache, PlanCache, ResultCache, make_key
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
-from .pool import pool_execute, pool_init
 from .resilience import BreakerRegistry, QueueWaitEstimator
 
 logger = logging.getLogger(__name__)
@@ -174,9 +172,6 @@ class _Inflight:
     watchdog_budget: Optional[float] = None
     hard_deadline: Optional[float] = None
     claimed: bool = False
-    #: process-pool inner future (None on the thread path); lets the
-    #: watchdog tell a dispatched-but-unstarted request from a running one
-    inner: Optional[Future] = None
 
 
 class QueryService:
@@ -206,12 +201,8 @@ class QueryService:
             window=self.config.shed_window,
             min_samples=self.config.shed_min_samples)
         self._register_gauges()
-        self._executor: Optional[Union[ThreadPoolExecutor,
-                                       ProcessPoolExecutor]] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._in_flight: Dict[str, _Inflight] = {}
-        #: per-document versions at process-pool start; process results
-        #: are only cacheable while the live documents still match them
-        self._pool_versions: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._closed = False
         self._watchdog: Optional[threading.Thread] = None
@@ -276,8 +267,7 @@ class QueryService:
 
     def register(self, name: str,
                  collection: Union[GraphCollection, Graph]) -> None:
-        """Register a graph/collection; restarts a live process pool so
-        the workers see the new snapshot.
+        """Register a graph/collection.
 
         With a durable store attached, the document is WAL-committed
         *before* it becomes visible to queries: a registration that
@@ -286,8 +276,6 @@ class QueryService:
             self.database.register_durable(name, collection)
         else:
             self.database.register(name, collection)
-        if self.config.use_processes:
-            self._restart_pool()
 
     def load(self, name: str, path, directed: bool = False) -> None:
         """Load and register a collection from a GraphQL file."""
@@ -298,8 +286,6 @@ class QueryService:
                 name, load_collection(path, directed=directed))
         else:
             self.database.load(name, path, directed=directed)
-        if self.config.use_processes:
-            self._restart_pool()
 
     def document_version(self, document: str) -> int:
         """The cache-invalidation counter of one document.
@@ -312,40 +298,15 @@ class QueryService:
 
     # -- the executor ---------------------------------------------------------
 
-    def _docs_payload(self) -> Dict[str, Tuple[str, bool]]:
-        payload = {}
-        for name in self.database.names():
-            collection = self.database.doc(name)
-            directed = any(g.directed for g in collection)
-            payload[name] = (collection_to_text(collection), directed)
-        return payload
-
-    def _ensure_executor(self):
+    def _ensure_executor(self) -> ThreadPoolExecutor:
         with self._lock:
-            if self._executor is None:
-                if self.config.use_processes:
-                    self._pool_versions = {
-                        name: self.document_version(name)
-                        for name in self.database.names()
-                    }
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.config.workers,
-                        initializer=pool_init,
-                        initargs=(self._docs_payload(),),
-                    )
-                else:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.config.workers,
-                        thread_name_prefix="repro-query",
-                    )
-            return self._executor
-
-    def _restart_pool(self) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self._pool_versions = {}
-        if executor is not None:
-            executor.shutdown(wait=True)
+            executor = self._executor
+            if executor is None:
+                executor = self._executor = ThreadPoolExecutor(
+                    max_workers=self.config.workers,
+                    thread_name_prefix="repro-query",
+                )
+            return executor
 
     # -- submission -----------------------------------------------------------
 
@@ -353,9 +314,9 @@ class QueryService:
         """Admit and schedule one request; never blocks.
 
         The returned future resolves to a :class:`QueryResponse` in every
-        case — rejection and internal errors included — so callers can
-        account ``admitted + rejected == submitted`` without exception
-        handling.
+        case — rejection, shedding and internal errors included — so
+        ``submitted == admitted + rejected + shed`` holds without
+        exception handling (``stats()["accounting"]`` checks it).
         """
         self.metrics.count("submitted")
         root = tracer().start(
@@ -433,23 +394,7 @@ class QueryService:
             try:
                 executor = self._ensure_executor()
                 self._ensure_watchdog()
-                if self.config.use_processes:
-                    key = self._process_cache_key(request)
-                    dispatch = tracer().start("service.dispatch",
-                                              parent=root, mode="process")
-                    inner = executor.submit(
-                        pool_execute, request.document,
-                        self._pattern_text(request),
-                        self._options_kwargs(request),
-                        self._governance_kwargs(request),
-                    )
-                    entry.inner = inner
-                    inner.add_done_callback(
-                        lambda f: self._finish_process(
-                            request, f, submitted_at, outer, key,
-                            root=root, dispatch=dispatch))
-                else:
-                    executor.submit(self._run_local, entry)
+                executor.submit(self._run_local, entry)
             except Exception as exc:  # pool shut down under us => shed load
                 logger.warning("submit failed for %s: %s",
                                request.request_id, exc)
@@ -616,24 +561,13 @@ class QueryService:
             except Exception:  # the watchdog itself must never die
                 logger.exception("pool watchdog scan failed")
 
-    @staticmethod
-    def _worker_started(entry: _Inflight) -> bool:
-        """Whether a worker has actually begun executing *entry*.
-
-        Thread path: the worker flips ``claimed`` when it picks the
-        entry up.  Process path: the inner future leaves PENDING once
-        the pool hands the work item to a worker process.
-        """
-        if entry.inner is not None:
-            return entry.inner.running() or entry.inner.done()
-        return entry.claimed
-
     def _watchdog_scan(self) -> None:
         """Abandon stuck requests; recycle only when a worker is wedged.
 
         A request past its hard deadline that no worker ever *started*
         is a queue-backlog casualty, not a stuck worker: it is answered
-        TIMED_OUT and its queued work item cancelled, but the pool —
+        TIMED_OUT (its queued work item finds the entry gone and never
+        runs), but the pool —
         whose workers are all making progress — is left alone.  Killing
         every worker over a backlog would fail all in-flight requests
         and start a service-wide reset loop exactly when the service is
@@ -648,12 +582,9 @@ class QueryService:
             return
         wedged = 0
         for entry in stuck:
-            started = self._worker_started(entry)
-            if started:
+            if entry.claimed:
                 wedged += 1
-            elif entry.inner is not None:
-                entry.inner.cancel()  # still pending: never dispatch it
-            self._abandon(entry, stuck_worker=started)
+            self._abandon(entry, stuck_worker=entry.claimed)
         if wedged:
             self._recycle_pool(
                 f"{wedged} request(s) stuck past their hard deadline")
@@ -709,36 +640,17 @@ class QueryService:
     def _recycle_pool(self, reason: str) -> None:
         """Replace the worker pool without waiting for wedged workers.
 
-        Thread pools: the old executor is shut down without waiting
-        (stuck threads finish on their own time and their late results
-        are dropped); work that was still *queued* is resubmitted on the
-        fresh executor, so only the stuck requests pay.  Process pools:
-        the worker processes are killed and the pool is rebuilt from a
-        fresh snapshot — ``_pool_versions`` is recaptured at rebuild, so
-        the snapshot-version cache invariants hold across the recycle.
-        In-flight process requests fail with a structured error (their
-        futures break with the pool); none of them can hang.
+        The old executor is shut down without waiting (stuck threads
+        finish on their own time and their late results are dropped);
+        work that was still *queued* is resubmitted on the fresh
+        executor, so only the stuck requests pay.
         """
         logger.warning("recycling the worker pool: %s", reason)
         with self._lock:
             executor, self._executor = self._executor, None
-            self._pool_versions = {}
-            queued = ([] if self.config.use_processes else
-                      [entry for entry in self._in_flight.values()
-                       if not entry.claimed])
+            queued = [entry for entry in self._in_flight.values()
+                      if not entry.claimed]
         if executor is None:
-            return
-        if self.config.use_processes:
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-            try:
-                executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                logger.exception("process pool shutdown after recycle")
             return
         executor.shutdown(wait=False, cancel_futures=True)
         if queued:
@@ -776,31 +688,6 @@ class QueryService:
                                 self.config.default_max_memory),
         )
 
-    def _options_kwargs(self, request: QueryRequest) -> Dict[str, Any]:
-        opts = self._options_for(request)
-        return {f: getattr(opts, f) for f in (
-            "local", "refine", "optimize_order", "limit", "compute_baseline")}
-
-    def _governance_kwargs(self, request: QueryRequest) -> Dict[str, Any]:
-        context = self.config.derive_context(
-            timeout=request.timeout, max_steps=request.max_steps,
-            max_memory=request.max_memory,
-        )
-        return {
-            "timeout": context.timeout,
-            "max_steps": context.max_steps,
-            "max_results": context.max_results,
-            "max_memory": context.max_memory,
-        }
-
-    def _pattern_text(self, request: QueryRequest) -> str:
-        if not isinstance(request.query, str):
-            raise TypeError(
-                "process-pool execution requires query text, not a "
-                "compiled pattern (it must cross the process boundary)"
-            )
-        return request.query
-
     def _cache_key(self, request: QueryRequest):
         """The cache key of a request, or None when uncacheable."""
         if not request.use_cache or not isinstance(request.query, str):
@@ -811,24 +698,6 @@ class QueryService:
             return None
         return make_key(request.document, request.query,
                         self._options_key(request), version)
-
-    def _process_cache_key(self, request: QueryRequest):
-        """The cache key for a process-pool run, or None.
-
-        Captured *before* dispatch — like :meth:`_run_local` — so a
-        mutation racing with the query can never publish its rows under
-        the post-mutation version.  Additionally the pool workers match
-        the snapshot taken at pool start, so the result is only
-        cacheable while the live document still has that snapshot's
-        version; otherwise the rows are stale and must not be cached at
-        all.
-        """
-        key = self._cache_key(request)
-        if key is None:
-            return None
-        if self._pool_versions.get(request.document) != key[3]:
-            return None
-        return key
 
     def _cache_lookup(self, request: QueryRequest):
         key = self._cache_key(request)
@@ -937,53 +806,6 @@ class QueryService:
                 )
             self._finish(request, response, submitted_at, outer, root=root)
 
-    def _finish_process(self, request: QueryRequest, inner: Future,
-                        submitted_at: float,
-                        outer: "Future[QueryResponse]", key,
-                        root=None, dispatch=None) -> None:
-        """Done-callback converting a pool result into a QueryResponse.
-
-        ``key`` is the :meth:`_process_cache_key` captured at submit
-        time — recomputing it here would pick up the *post*-execution
-        document version and could publish a stale snapshot's rows as a
-        fresh entry.  ``dispatch`` is the span covering the worker
-        process round-trip (the matcher's own spans stay in the worker).
-        """
-        rows: List[Dict[str, Any]] = []
-        notes: List[str] = []
-        error: Optional[str] = None
-        outcome = QueryOutcome()
-        try:
-            payload = inner.result()
-            if len(payload) == 3:
-                rows, outcome_dict, notes = payload
-            else:  # an old-style worker (rolling restart)
-                rows, outcome_dict = payload
-            outcome = QueryOutcome.from_dict(outcome_dict)
-            self.metrics.count("executed")
-            # the worker reports its own execution time; the remainder
-            # of the round-trip is dispatch + queue wait, which is what
-            # deadline-aware shedding needs to see in process mode too
-            self.queue_wait.observe(max(
-                0.0, (time.perf_counter() - submitted_at) - outcome.elapsed))
-        except Exception as exc:
-            error = str(exc)
-        if dispatch is not None:
-            if error is not None:
-                dispatch.annotate(error=error)
-            dispatch.finish()
-        if (error is None and key is not None
-                and self.result_cache.admit(key, rows, outcome)):
-            self.metrics.count("result_cache_misses")
-        response = QueryResponse(
-            request_id=request.request_id, client=request.client,
-            results=rows, outcome=outcome,
-            cache="miss" if key is not None else "bypass",
-            elapsed=time.perf_counter() - submitted_at, error=error,
-            degradation=list(notes),
-        )
-        self._finish(request, response, submitted_at, outer, root=root)
-
     def _release(self, request: QueryRequest, tracked: bool = True) -> bool:
         """Free one request's admission slot (idempotent).
 
@@ -1047,9 +869,7 @@ class QueryService:
         """Cancel one in-flight request by id (cooperative).
 
         Returns False when the id is unknown — already finished, never
-        admitted, or mistyped.  With a process pool the flag cannot reach
-        the worker, so the query runs to completion but the response is
-        still produced normally.
+        admitted, or mistyped.
         """
         with self._lock:
             entry = self._in_flight.get(request_id)
@@ -1132,7 +952,6 @@ class QueryService:
             "workers": self.config.workers,
             "queue_depth": self.config.queue_depth,
             "per_client": self.config.per_client,
-            "use_processes": self.config.use_processes,
             "default_timeout": self.config.default_timeout,
             "breaker_threshold": self.config.breaker_threshold,
             "watchdog_multiple": self.config.watchdog_multiple,

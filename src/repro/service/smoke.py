@@ -11,7 +11,8 @@ Used by the CI ``service-smoke`` job (and runnable locally).  It:
    in-flight query cancelled from a second connection (``CANCELLED``),
 4. sends SIGTERM and asserts the graceful-drain contract: the socket
    refuses new connections, the process exits 0, and the final stats
-   satisfy ``admitted + rejected + shed == submitted``,
+   balance their ``accounting`` block
+   (``submitted == admitted + rejected + shed``),
 5. runs a durability cycle: serves with ``--store``, queries, SIGKILLs
    the server (no drain, no checkpoint — the WAL still holds records),
    restarts it from the store alone, and asserts the recovery counters
@@ -208,16 +209,14 @@ def drive(process, host: str, port: int) -> int:
         fail("no query completed")
 
     stats = canceller.stats()
-    submitted = stats["submitted"]
-    admitted, rejected = stats["admitted"], stats["rejected"]
-    shed = stats["shed"]["total"]
-    if submitted != admitted + rejected + shed:
-        fail(f"accounting broken: submitted={submitted} "
-             f"admitted={admitted} rejected={rejected} shed={shed}")
+    accounting = stats["accounting"]
+    if accounting["unaccounted"] != 0:
+        fail(f"accounting broken: {accounting}")
     if stats["result_cache"]["hits"] == 0:
         fail("repeated identical query was never served from the cache")
-    print(f"stats ok: submitted={submitted} admitted={admitted} "
-          f"rejected={rejected} shed={shed} "
+    print(f"stats ok: submitted={accounting['submitted']} "
+          f"admitted={accounting['admitted']} "
+          f"rejected={accounting['rejected']} shed={accounting['shed']} "
           f"cache_hits={stats['result_cache']['hits']} "
           f"outcomes={ {k: v for k, v in stats['outcomes'].items() if v} }",
           flush=True)

@@ -14,6 +14,7 @@ from repro.core import Graph
 from repro.datasets.random_graphs import erdos_renyi_graph
 from repro.runtime import Outcome
 from repro.service import QueryServer, QueryService, ServiceClient, ServiceConfig
+from repro.service.metrics import assert_accounted
 from repro.service.protocol import ProtocolError
 from repro.service.server import probe
 
@@ -130,7 +131,7 @@ class TestWireProtocol:
             client.query(FAST_QUERY, limit=5)
             stats = client.stats()
             assert stats["submitted"] >= 1
-            assert stats["admitted"] + stats["rejected"] == stats["submitted"]
+            assert_accounted(stats)
             assert "latency" in stats
 
 

@@ -284,6 +284,7 @@ def soak(seed: int) -> Dict[str, object]:
     a broken invariant)."""
     from repro.service import QueryServer
     from repro.service.client import ServiceClient
+    from repro.service.metrics import assert_accounted
 
     service = build_service()
     server = QueryServer(service, ("127.0.0.1", 0))
@@ -327,12 +328,7 @@ def soak(seed: int) -> Dict[str, object]:
         health = clean.health()
         assert health["status"] == "ok", health
         stats = clean.stats()
-    accounted = (stats["admitted"] + stats["rejected"]
-                 + stats["shed"]["total"])
-    assert stats["submitted"] == accounted, (
-        f"accounting broken: submitted={stats['submitted']} "
-        f"admitted={stats['admitted']} rejected={stats['rejected']} "
-        f"shed={stats['shed']['total']}")
+    assert_accounted(stats)
 
     proxy.close()
     server.shutdown_gracefully()

@@ -149,22 +149,6 @@ class TestRequestTracing:
         finally:
             service.shutdown(timeout=0)
 
-    def test_process_pool_requests_carry_a_dispatch_span(self):
-        service = make_service(use_processes=True, workers=2)
-        collector = SpanCollector()
-        try:
-            with tracer().session(collector):
-                response = service.submit(
-                    QueryRequest(query=EDGE_QUERY,
-                                 request_id="proc")).result()
-            assert response.error is None
-            dispatches = collector.by_name("service.dispatch")
-            assert len(dispatches) == 1
-            assert dispatches[0].tags["mode"] == "process"
-            assert dispatches[0].duration is not None
-        finally:
-            service.shutdown(timeout=0)
-
 
 class TestMetricsExposition:
     def test_prometheus_text_parses_and_counts_requests(self):

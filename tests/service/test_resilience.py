@@ -16,6 +16,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from repro.service.metrics import assert_accounted
 from repro.service.protocol import ProtocolError, decode
 from repro.service.resilience import (
     STATE_CLOSED,
@@ -215,8 +216,7 @@ class TestDeadlineShedding:
             stats = service.stats()
             assert stats["shed"]["total"] == 1
             assert stats["shed"]["deadline"] == 1
-            assert stats["submitted"] == (stats["admitted"]
-                                          + stats["rejected"] + 1)
+            assert_accounted(stats)
 
     def test_generous_deadline_still_runs(self):
         with make_service(shed_min_samples=5) as service:
@@ -407,21 +407,6 @@ class TestPoolWatchdog:
                 QueryRequest(query=EDGE_QUERY)).result(timeout=10)
             assert response.outcome.status is Outcome.COMPLETE
             assert service._watchdog is None
-
-    def test_process_pool_recycle_preserves_document_versions(self):
-        with make_service(use_processes=True, workers=2) as service:
-            first = service.submit(QueryRequest(
-                query=EDGE_QUERY, limit=10)).result(timeout=60)
-            assert first.outcome.status is Outcome.COMPLETE
-            # process mode feeds the shed estimator too (round-trip
-            # minus worker-reported execution time)
-            assert len(service.queue_wait) >= 1
-            service._recycle_pool("test recycle")
-            second = service.submit(QueryRequest(
-                query=EDGE_QUERY, limit=10, use_cache=False,
-            )).result(timeout=60)
-            assert second.outcome.status is Outcome.COMPLETE
-            assert second.results == first.results
 
 
 class TestHealthReady:

@@ -7,6 +7,7 @@ import pytest
 from repro.datasets.random_graphs import erdos_renyi_graph
 from repro.runtime import Outcome
 from repro.service import QueryRequest, QueryService, ServiceConfig
+from repro.service.metrics import assert_accounted
 
 
 def make_service(**overrides) -> QueryService:
@@ -193,7 +194,7 @@ class TestGovernance:
             assert future.result(timeout=30).outcome.status is (
                 Outcome.CANCELLED)
             snap = service.stats()
-            assert snap["submitted"] == snap["admitted"] + snap["rejected"]
+            assert_accounted(snap)
 
 
 class TestAdmission:
@@ -211,7 +212,7 @@ class TestAdmission:
                 assert response.outcome.status is Outcome.REJECTED
                 assert response.outcome.steps == 0  # never executed
             snap = service.stats()
-            assert snap["submitted"] == snap["admitted"] + snap["rejected"]
+            assert_accounted(snap)
 
     def test_invalid_query_never_reaches_the_pool(self):
         with make_service() as service:
@@ -230,7 +231,23 @@ class TestAdmission:
             assert after["submitted"] == before["submitted"] + 1
             assert after["admitted"] == before["admitted"]  # never admitted
             assert after["executed"] == before["executed"]  # no worker burned
-            assert after["submitted"] == after["admitted"] + after["rejected"]
+            assert_accounted(after)
+
+    def test_accounting_reports_a_miscount(self):
+        with make_service() as service:
+            service.execute(EDGE_QUERY)
+            service.execute(EDGE_QUERY)  # a cache hit is admitted too
+            service.execute("graph P { node v1; } where Q.x > 1")
+            balanced = service.stats()
+            assert balanced["accounting"] == {
+                "submitted": 3, "admitted": 2, "rejected": 1, "shed": 0,
+                "unaccounted": 0}
+            assert_accounted(balanced)
+            service.metrics.count("submitted")  # a submission no path counted
+            broken = service.stats()
+            assert broken["accounting"]["unaccounted"] == 1
+            with pytest.raises(AssertionError, match="accounting broken"):
+                assert_accounted(broken)
 
     def test_warnings_do_not_reject(self):
         # a disconnected pattern is a WARNING: admission only acts on
@@ -305,33 +322,3 @@ class TestLifecycle:
         service.shutdown(timeout=0.2)
         response = future.result(timeout=30)
         assert response.outcome.status is Outcome.CANCELLED
-
-
-@pytest.mark.slow
-class TestProcessPool:
-    def test_process_pool_round_trip(self):
-        with make_service(use_processes=True) as service:
-            responses = [service.execute(EDGE_QUERY, use_cache=False)
-                         for _ in range(2)]
-            for response in responses:
-                assert response.error is None
-                assert response.outcome.status is Outcome.COMPLETE
-            # identical rows to the thread path
-            with make_service() as threaded:
-                assert (threaded.execute(EDGE_QUERY).results
-                        == responses[0].results)
-
-    def test_stale_pool_snapshot_is_never_cached(self):
-        """Workers match the snapshot from pool start; once the parent's
-        graphs drift from it, their rows must not enter the cache."""
-        with make_service(use_processes=True) as service:
-            first = service.execute(EDGE_QUERY)
-            assert first.cache == "miss"
-            graph = service.database.doc("data")[0]
-            # in-place mutation, no re-register: the pool keeps serving
-            # the old snapshot while the live version moves on
-            graph.add_node("fresh", label="L001")
-            for response in (service.execute(EDGE_QUERY),
-                             service.execute(EDGE_QUERY)):
-                assert response.cache == "bypass"
-                assert response.error is None
