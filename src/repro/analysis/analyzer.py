@@ -52,6 +52,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from ..core.predicate import (
@@ -78,7 +79,7 @@ from ..lang.ast import (
     TupleAst,
     UnifyAst,
 )
-from ..lang.errors import GraphQLSyntaxError
+from ..lang.errors import GraphQLCompileError, GraphQLSyntaxError
 from ..lang.parser import parse_graph_decl, parse_program
 from .diagnostics import Diagnostic, Severity, Span, sort_diagnostics
 from .schema import CollectionSchema, type_bucket
@@ -86,7 +87,7 @@ from .schema import CollectionSchema, type_bucket
 #: Every code the analyzer can emit, with its fixed severity and a
 #: short title (the docs catalog and the golden tests read this).
 CODES: Dict[str, Tuple[Severity, str]] = {
-    "GQL000": (Severity.ERROR, "syntax error"),
+    "GQL000": (Severity.ERROR, "syntax or compile error"),
     "GQL001": (Severity.ERROR, "unbound variable reference"),
     "GQL002": (Severity.WARNING, "binding shadows an earlier one"),
     "GQL003": (Severity.HINT, "dead binding (shadowed before use)"),
@@ -856,7 +857,7 @@ def analyze_text(
     try:
         ast = parse_program(text)
     except GraphQLSyntaxError as exc:
-        return [_syntax_diagnostic(exc)]
+        return [front_end_diagnostic(exc)]
     return analyze_program(ast, schema)
 
 
@@ -864,15 +865,19 @@ def analyze_pattern_text(
     text: str,
     schema: Optional[CollectionSchema] = None,
 ) -> List[Diagnostic]:
-    """Analyze one pattern declaration's source text (the service's
-    admission-time validation: mirrors ``compile_pattern_text``)."""
+    """Analyze one pattern declaration's source text (syntax errors
+    become GQL000)."""
     try:
         decl = parse_graph_decl(text)
     except GraphQLSyntaxError as exc:
-        return [_syntax_diagnostic(exc)]
+        return [front_end_diagnostic(exc)]
     return analyze_pattern(decl, schema, standalone=True)
 
 
-def _syntax_diagnostic(exc: GraphQLSyntaxError) -> Diagnostic:
+def front_end_diagnostic(
+    exc: Union[GraphQLSyntaxError, GraphQLCompileError],
+) -> Diagnostic:
+    """A syntax or compile error as a GQL000 diagnostic (message and
+    source position kept)."""
     span = Span(exc.line, exc.column) if exc.line else None
     return Diagnostic("GQL000", Severity.ERROR, str(exc), span)

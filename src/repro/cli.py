@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--limit", type=int, default=1000,
                        help="default per-query answer cap")
     serve.add_argument("--plan-cache", type=int, default=256,
-                       help="plan cache entries (0 disables)")
+                       help="prepared-query cache entries (0 disables)")
     serve.add_argument("--result-cache", type=int, default=256,
                        help="result cache entries (0 disables)")
     serve.add_argument("--drain-timeout", type=float, default=5.0,

@@ -56,10 +56,6 @@ class MatchOptions:
     refine: bool = True               # run Algorithm 4.2
     refine_level: Optional[int] = None  # None => pattern size
     optimize_order: bool = True       # greedy cost-based order vs connected order
-    # a search order computed by an earlier run of the same query (the
-    # service's plan cache replays it here); used only when it covers
-    # exactly the pattern's nodes, otherwise recomputed
-    plan_order: Optional[Sequence[str]] = None
     gamma_mode: str = "frequency"     # "frequency" | "constant"
     gamma_const: float = 0.1
     radius: int = 1
@@ -376,31 +372,27 @@ class GraphMatcher:
         with trace_span("match.order") as sp:
             sizes = {name: len(candidates)
                      for name, candidates in space.items()}
-            if (opts.plan_order is not None
-                    and set(opts.plan_order) == set(space.keys())):
-                order, policy = list(opts.plan_order), "plan-cache"
-            else:
-                try:
-                    if opts.optimize_order:
-                        model = CostModel(
-                            pattern.motif,
-                            stats=(self.stats if opts.gamma_mode == "frequency"
-                                   else None),
-                            gamma_const=opts.gamma_const,
-                            label_attr=opts.label_attr,
-                            directed=graph.directed,
-                        )
-                        order, policy = (
-                            greedy_order(pattern.motif, sizes, model), "greedy")
-                    else:
-                        order, policy = (
-                            connected_order(pattern.motif, sizes), "connected")
-                except Exception as exc:
-                    self._degrade(
-                        report,
-                        f"search-order optimization failed ({exc}); "
-                        "using declaration order")
-                    order, policy = pattern.node_names(), "declaration"
+            try:
+                if opts.optimize_order:
+                    model = CostModel(
+                        pattern.motif,
+                        stats=(self.stats if opts.gamma_mode == "frequency"
+                               else None),
+                        gamma_const=opts.gamma_const,
+                        label_attr=opts.label_attr,
+                        directed=graph.directed,
+                    )
+                    order, policy = (
+                        greedy_order(pattern.motif, sizes, model), "greedy")
+                else:
+                    order, policy = (
+                        connected_order(pattern.motif, sizes), "connected")
+            except Exception as exc:
+                self._degrade(
+                    report,
+                    f"search-order optimization failed ({exc}); "
+                    "using declaration order")
+                order, policy = pattern.node_names(), "declaration"
             sp.annotate(policy=policy)
         report.times["order"] = time.perf_counter() - started
         report.order = order

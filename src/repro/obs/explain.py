@@ -92,9 +92,7 @@ def explain_ground(
         label_attr=opts.label_attr,
         directed=graph.directed,
     )
-    if opts.plan_order is not None and set(opts.plan_order) == set(sizes):
-        order, policy = list(opts.plan_order), "plan-cache"
-    elif opts.optimize_order:
+    if opts.optimize_order:
         order, policy = greedy_order(ground.motif, sizes, model), "greedy"
     else:
         order, policy = connected_order(ground.motif, sizes), "connected"

@@ -1,32 +1,41 @@
-"""Prepared-query (plan) and result caches for the query service.
+"""The prepared-query and result caches of the query service.
 
-Both caches key on ``(document, query text, options signature, document
-version)``.  The version component is the sum of the registered graphs'
-mutation counters (:attr:`repro.core.graph.Graph.version` increments on
-every node/edge change), so *any* mutation makes every older entry
-unreachable — stale answers are impossible by construction and the dead
-entries age out of the LRU instead of needing an invalidation sweep.
+The prepared-query cache is keyed by query text alone: parsing,
+analysis and compilation depend only on the text, never on the data,
+so a text is prepared once and every later request for it — on any
+document, at any version — reuses the verdict and the compiled
+pattern.  An invalid text is cached too, so repeating it is rejected
+without re-analysis.
 
-The plan cache stores compile artifacts (the compiled pattern and, for
-single-graph documents, the search order the planner chose), saving the
-parse/compile/order work on repeated queries.  The result cache stores
-the final rows plus the outcome, but only for runs whose outcome is
-deterministic given the key: ``COMPLETE``, or ``TRUNCATED`` by a cap
-that is itself part of the key — the options signature covers the
-answer cap *and* the effective step/memory budgets
-(:meth:`QueryService._options_key`), so a budget-truncated partial
-answer is only replayed to requests with identical budgets.  A
-``TIMED_OUT`` run under one caller's deadline must never be replayed to
-another caller.
+The result cache keys on ``(document, query text, options signature,
+document version)``.  The version component is the sum of the
+registered graphs' mutation counters
+(:attr:`repro.core.graph.Graph.version` increments on every node/edge
+change), so *any* mutation makes every older entry unreachable — stale
+answers are impossible by construction and the dead entries age out of
+the LRU instead of needing an invalidation sweep.  It stores the final
+rows plus the outcome, but only for runs whose outcome is deterministic
+given the key: ``COMPLETE``, or ``TRUNCATED`` by a cap that is itself
+part of the key — the options signature covers the answer cap *and* the
+effective step/memory budgets (:meth:`QueryService._options_key`), so a
+budget-truncated partial answer is only replayed to requests with
+identical budgets.  A ``TIMED_OUT`` run under one caller's deadline must
+never be replayed to another caller.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from ..analysis.analyzer import analyze_pattern, front_end_diagnostic
+from ..analysis.diagnostics import errors_only, to_wire
+from ..core.pattern import GraphPattern
+from ..lang.compiler import compile_pattern
+from ..lang.errors import GraphQLCompileError, GraphQLSyntaxError
+from ..lang.parser import parse_graph_decl
 from ..runtime import Outcome, QueryOutcome
 
 
@@ -96,41 +105,59 @@ class LRUCache:
             }
 
 
-@dataclass
-class CachedPlan:
-    """Compile artifacts of one prepared query.
+@dataclass(frozen=True)
+class PreparedQuery:
+    """One query text parsed, analyzed and compiled once.
 
-    ``orders`` maps graph names to the search order the planner chose on
-    the first execution; later executions replay it through
-    :attr:`repro.matching.MatchOptions.plan_order` and skip the
-    cost-model work.
+    ``errors`` holds the error-severity diagnostics in wire form (empty
+    when the text is valid); ``pattern`` is the compiled pattern, None
+    whenever ``errors`` is not empty.  Matching only reads a compiled
+    pattern, so one instance is shared by concurrent executions.
     """
 
-    pattern: Any
-    orders: Dict[str, List[str]] = field(default_factory=dict)
+    errors: Tuple[Dict[str, Any], ...]
+    pattern: Optional[GraphPattern] = None
 
 
-CacheKey = Tuple[str, str, Hashable, int]
+def prepare_query(text: str) -> PreparedQuery:
+    """Parse, analyze and compile *text* in one pass.
+
+    A syntax error, an analyzer error, or a compile error the analyzer
+    cannot see all end up in ``errors`` (the first and last as GQL000),
+    so a text that prepares cleanly cannot fail to compile later.
+    """
+    try:
+        decl = parse_graph_decl(text)
+        errors = errors_only(analyze_pattern(decl))
+        if errors:
+            return PreparedQuery(tuple(to_wire(errors)))
+        return PreparedQuery((), compile_pattern(decl))
+    except (GraphQLSyntaxError, GraphQLCompileError) as exc:
+        return PreparedQuery(tuple(to_wire([front_end_diagnostic(exc)])))
 
 
-def make_key(document: str, query_text: str, options_key: Hashable,
-             version: int) -> CacheKey:
-    """The canonical cache key shared by both caches."""
-    return (document, query_text, options_key, version)
+class PreparedCache(LRUCache):
+    """LRU of :class:`PreparedQuery` keyed by query text alone."""
 
-
-class PlanCache(LRUCache):
-    """LRU of :class:`CachedPlan` keyed by (doc, text, options, version)."""
+    def prepare(self, text: str) -> Tuple[PreparedQuery, bool]:
+        """The prepared form of *text*, and whether it was cached."""
+        prepared = self.get(text)
+        if prepared is not None:
+            return prepared, True
+        prepared = prepare_query(text)
+        self.put(text, prepared)
+        return prepared, False
 
 
 class ResultCache(LRUCache):
-    """LRU of ``(rows, QueryOutcome)`` keyed like the plan cache."""
+    """LRU of ``(rows, QueryOutcome)`` keyed by
+    ``(document, query text, options signature, document version)``."""
 
     #: Outcomes that are a pure function of the cache key and therefore
     #: safe to replay to other callers.
     CACHEABLE = (Outcome.COMPLETE, Outcome.TRUNCATED)
 
-    def admit(self, key: CacheKey, rows: List[Dict[str, Any]],
+    def admit(self, key: Hashable, rows: List[Dict[str, Any]],
               outcome: QueryOutcome) -> bool:
         """Store a finished query iff its outcome is deterministic."""
         if outcome.status not in self.CACHEABLE:

@@ -55,8 +55,9 @@ _COUNTER_HELP = {
     "cancelled_requests": "Requests cancelled by an explicit cancel call.",
     "result_cache_hits": "Result-cache hits.",
     "result_cache_misses": "Result-cache misses.",
-    "plan_cache_hits": "Plan-cache hits (replayed search orders).",
-    "plan_cache_misses": "Plan-cache misses.",
+    "plan_cache_hits": "Query texts found already prepared (parsed, "
+                       "analyzed and compiled).",
+    "plan_cache_misses": "Query texts prepared on arrival.",
     "watchdog_recycles": "Stuck workers the pool watchdog recycled.",
     "watchdog_abandoned": "Queued requests the watchdog abandoned as "
                           "TIMED_OUT without recycling the pool (no "

@@ -5,7 +5,8 @@ adds everything the library-level matcher lacks for serving traffic:
 
 * a bounded worker-thread pool,
 * admission control (global + per-client bounds, structured rejection),
-* a prepared-query/plan cache and a version-invalidated result cache,
+* a text-keyed prepared-query cache (parse, analyze and compile once
+  per text) and a version-invalidated result cache,
 * per-request :class:`~repro.runtime.ExecutionContext` governance with
   cancellation by request id,
 * metrics for every decision the service takes.
@@ -23,7 +24,7 @@ import logging
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -57,7 +58,7 @@ from .admission import (
     REASON_INVALID_QUERY,
     AdmissionController,
 )
-from .cache import CachedPlan, LRUCache, PlanCache, ResultCache, make_key
+from .cache import PreparedCache, ResultCache
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
 from .resilience import BreakerRegistry, QueueWaitEstimator
@@ -172,6 +173,8 @@ class _Inflight:
     watchdog_budget: Optional[float] = None
     hard_deadline: Optional[float] = None
     claimed: bool = False
+    #: the compiled pattern to run (prepared at submit for text queries)
+    pattern: Any = None
 
 
 class QueryService:
@@ -189,11 +192,10 @@ class QueryService:
         self.slow_log = SlowQueryLog(self.config.slow_log_size,
                                      self.config.slow_log_threshold)
         self.admission = AdmissionController(self.config)
-        self.plan_cache = PlanCache(self.config.plan_cache_size)
+        #: query text -> PreparedQuery (validation verdict + compiled
+        #: pattern); named for the stats/metrics section it feeds
+        self.plan_cache = PreparedCache(self.config.plan_cache_size)
         self.result_cache = ResultCache(self.config.result_cache_size)
-        #: query text -> tuple of error-severity diagnostic dicts
-        #: (empty tuple == valid); consulted at admission, microseconds
-        self._validation_cache = LRUCache(self.config.validation_cache_size)
         self.breakers = BreakerRegistry(
             threshold=max(1, self.config.breaker_threshold),
             cooldown=self.config.breaker_cooldown)
@@ -235,7 +237,7 @@ class QueryService:
                   "Entries in the result cache.",
                   fn=lambda: self.result_cache.stats()["size"])
         reg.gauge("repro_service_plan_cache_size",
-                  "Entries in the plan cache.",
+                  "Entries in the prepared-query cache.",
                   fn=lambda: self.plan_cache.stats()["size"])
 
         def _wal_bytes() -> int:
@@ -324,16 +326,22 @@ class QueryService:
             request_id=request.request_id,
             client=request.client, document=request.document)
         with tracer().activate(root):
-            # static analysis first: an invalid query is rejected before
+            # prepare first: an invalid query is rejected before
             # admission, breakers or the pool ever see it — no worker,
             # no quota, no probe slot is spent on a request that can
             # only fail
-            errors = self._validate(request)
-            if errors:
-                self.metrics.count("invalid_queries")
-                return self._reject(
-                    request, REASON_INVALID_QUERY, root=root,
-                    detail={"diagnostics": list(errors)}, probe=False)
+            pattern = request.query
+            if isinstance(request.query, str):
+                prepared, hit = self.plan_cache.prepare(request.query)
+                self.metrics.count(
+                    "plan_cache_hits" if hit else "plan_cache_misses")
+                if prepared.errors:
+                    self.metrics.count("invalid_queries")
+                    return self._reject(
+                        request, REASON_INVALID_QUERY, root=root,
+                        detail={"diagnostics": list(prepared.errors)},
+                        probe=False)
+                pattern = prepared.pattern
             with trace_span("service.admission") as sp:
                 shed_reason, retry_after = self._shed_check(request)
                 if shed_reason is not None:
@@ -374,7 +382,7 @@ class QueryService:
             entry = _Inflight(
                 request=request, token=token, future=outer,
                 submitted_at=submitted_at, root=root,
-                watchdog_budget=budget,
+                watchdog_budget=budget, pattern=pattern,
                 hard_deadline=(None if budget is None
                                else time.monotonic() + budget),
             )
@@ -406,27 +414,6 @@ class QueryService:
     def execute(self, query: PatternLike, **kwargs) -> QueryResponse:
         """Synchronous convenience wrapper around :meth:`submit`."""
         return self.submit(QueryRequest(query=query, **kwargs)).result()
-
-    def _validate(self, request: QueryRequest) -> Tuple[Dict[str, Any], ...]:
-        """Error-severity diagnostics for a textual query (cached).
-
-        Compiled patterns pass through untouched (their text was already
-        validated wherever it was compiled), as does everything when
-        ``validate_queries`` is off.
-        """
-        if not self.config.validate_queries:
-            return ()
-        if not isinstance(request.query, str):
-            return ()
-        cached = self._validation_cache.get(request.query)
-        if cached is not None:
-            return cached
-        from ..analysis import analyze_pattern_text, errors_only, to_wire
-
-        errors = tuple(
-            to_wire(errors_only(analyze_pattern_text(request.query))))
-        self._validation_cache.put(request.query, errors)
-        return errors
 
     def _reject(self, request: QueryRequest, reason: str,
                 root=None, detail: Optional[Dict[str, Any]] = None,
@@ -696,8 +683,8 @@ class QueryService:
             version = self.document_version(request.document)
         except KeyError:
             return None
-        return make_key(request.document, request.query,
-                        self._options_key(request), version)
+        return (request.document, request.query,
+                self._options_key(request), version)
 
     def _cache_lookup(self, request: QueryRequest):
         key = self._cache_key(request)
@@ -705,24 +692,8 @@ class QueryService:
             return None
         return self.result_cache.get(key)
 
-    def _compile(self, request: QueryRequest):
-        """The compiled pattern, via the plan cache for text queries."""
-        if not isinstance(request.query, str):
-            return request.query, None
-        key = self._cache_key(request)
-        if key is None:
-            return compile_pattern_text(request.query), None
-        plan = self.plan_cache.get(key)
-        if plan is not None:
-            self.metrics.count("plan_cache_hits")
-            return plan.pattern, plan
-        self.metrics.count("plan_cache_misses")
-        plan = CachedPlan(pattern=compile_pattern_text(request.query))
-        self.plan_cache.put(key, plan)
-        return plan.pattern, plan
-
     def _run_local(self, entry: _Inflight) -> None:
-        """Worker-thread body: compile, match, serialize, cache.
+        """Worker-thread body: match, serialize, cache.
 
         ``entry.root`` is the request's trace span started in
         :meth:`submit`; activating it here re-parents this worker
@@ -757,7 +728,7 @@ class QueryService:
                     timeout=request.timeout, max_steps=request.max_steps,
                     max_memory=request.max_memory, token=token,
                 )
-                # key the caches on the document version *before*
+                # key the result cache on the document version *before*
                 # execution, so a mutation racing with this query can
                 # never publish its results under the post-mutation
                 # version
@@ -766,14 +737,9 @@ class QueryService:
                 notes: List[str] = []
                 error: Optional[str] = None
                 try:
-                    pattern, plan = self._compile(request)
-                    options = self._options_for(request)
-                    if plan is not None and len(plan.orders) == 1:
-                        options = replace(
-                            options,
-                            plan_order=next(iter(plan.orders.values())))
-                    reports = self.database.match(request.document, pattern,
-                                                  options, context=context)
+                    reports = self.database.match(
+                        request.document, entry.pattern,
+                        self._options_for(request), context=context)
                     for name, report in reports.items():
                         for mapping in report.mappings:
                             rows.append({
@@ -783,12 +749,6 @@ class QueryService:
                             })
                         for note in report.degradation:
                             notes.append(f"{name}: {note}")
-                    if (plan is not None and not plan.orders
-                            and isinstance(pattern, GroundPattern)
-                            and len(reports) == 1):
-                        name, report = next(iter(reports.items()))
-                        if report.order:
-                            plan.orders[name] = list(report.order)
                     self.metrics.count("executed")
                 except Exception as exc:
                     logger.exception("query %s failed", request.request_id)
@@ -932,8 +892,8 @@ class QueryService:
         snapshot["documents"] = self.database.names()
         snapshot["slow_queries"] = self.slow_log.snapshot()
         # merge the LRU-internal counters without letting their
-        # "hits"/"misses" (bumped by every key probe, including the
-        # pre-execution lookups) clobber the request-level ones
+        # "hits"/"misses" (bumped by every key probe, even for runs whose
+        # result is never admitted) clobber the request-level ones
         for section, cache in (("result_cache", self.result_cache),
                                ("plan_cache", self.plan_cache)):
             lru = cache.stats()

@@ -76,7 +76,7 @@ class SQLEngine:
         if isinstance(query, str):
             query = parse_sql(query)
         self._validate(query)
-        order = self._plan_order(query)
+        order = self._order_joins(query)
         if stats is not None:
             stats.tables_in_plan = len(order)
         with trace_span("sql.execute", tables=len(order)) as sp:
@@ -110,7 +110,7 @@ class SQLEngine:
                 if ref.alias not in aliases:
                     raise SchemaError(f"unknown alias {ref.alias!r} in WHERE")
 
-    def _plan_order(self, query: SelectQuery) -> List[Tuple[str, str]]:
+    def _order_joins(self, query: SelectQuery) -> List[Tuple[str, str]]:
         if self.join_order == "from":
             return list(query.tables)
         # greedy: start with the table with the most literal-equality

@@ -96,16 +96,24 @@ def build(shards, replication=1, **kwargs):
 
 
 def test_invalid_query_is_rejected_before_fan_out():
+    # an analyzer error, and two compile errors the analyzer cannot see
+    invalid = (
+        ("graph P { node v1; } where Q.x > 1", "GQL001"),
+        ("graph P { node u1 <label=1+1>; }", "GQL000"),
+        ("graph P { node u1; node u2; unify u1, u2 where u1.x > 1; }",
+         "GQL000"),
+    )
     shards = [ScriptedShard(rows=2), ScriptedShard(rows=3)]
     coordinator = build(shards)
-    reply = coordinator.query("graph P { node v1; } where Q.x > 1")
-    assert reply.outcome.status is Outcome.REJECTED
-    assert reply.outcome.reason == "invalid_query"
-    diags = reply.outcome.detail["diagnostics"]
-    assert diags and diags[0]["code"] == "GQL001"
-    # no shard ever saw the query
+    for text, code in invalid:
+        reply = coordinator.query(text)
+        assert reply.outcome.status is Outcome.REJECTED, text
+        assert reply.outcome.reason == "invalid_query"
+        diags = reply.outcome.detail["diagnostics"]
+        assert diags and diags[0]["code"] == code, text
+    # no shard ever saw a query
     assert all(shard.query_connections == 0 for shard in shards)
-    assert coordinator.stats()["counters"]["invalid_queries"] == 1
+    assert coordinator.stats()["counters"]["invalid_queries"] == len(invalid)
 
 
 def test_all_shards_merge_to_complete_with_full_accounting():

@@ -21,7 +21,7 @@ def test_explain_reports_per_node_retrieval_and_counts(paper_graph,
         assert row["estimated_mates"] == 2
         assert row["feasible_mates"] == 2
         assert 0 <= row["refined"] <= row["after_pruning"] <= 2
-    assert report["order_policy"] in ("greedy", "connected", "plan-cache")
+    assert report["order_policy"] in ("greedy", "connected")
     assert set(report["order"]) == set(rows)
     assert report["estimated_cost"] >= 0
     assert report["spaces"]["refined"] <= report["spaces"]["retrieved"]

@@ -1,9 +1,8 @@
-"""Plan/result cache semantics: LRU order, version invalidation,
+"""LRU and result cache semantics: LRU order, version invalidation,
 outcome cacheability."""
 
 from repro.runtime import Outcome, QueryOutcome
 from repro.service import LRUCache, ResultCache
-from repro.service.cache import make_key
 
 
 class TestLRU:
@@ -48,7 +47,7 @@ class TestResultCache:
 
     def test_complete_and_truncated_are_cacheable(self):
         cache = ResultCache(capacity=4)
-        key = make_key("data", "q", ("optimized", 10), 0)
+        key = ("data", "q", ("optimized", 10), 0)
         assert cache.admit(key, [{"g": 1}], self.outcome(Outcome.COMPLETE))
         assert cache.get(key) is not None
 
@@ -56,14 +55,14 @@ class TestResultCache:
         cache = ResultCache(capacity=4)
         for status in (Outcome.TIMED_OUT, Outcome.CANCELLED,
                        Outcome.REJECTED):
-            key = make_key("data", "q", ("optimized", 10), 0)
+            key = ("data", "q", ("optimized", 10), 0)
             assert not cache.admit(key, [], self.outcome(status))
             assert cache.get(key) is None
 
     def test_version_bump_changes_the_key(self):
         cache = ResultCache(capacity=4)
-        old = make_key("data", "q", ("optimized", 10), version=7)
-        new = make_key("data", "q", ("optimized", 10), version=8)
+        old = ("data", "q", ("optimized", 10), 7)
+        new = ("data", "q", ("optimized", 10), 8)
         cache.admit(old, [{"row": 1}], self.outcome(Outcome.COMPLETE))
         assert cache.get(new) is None  # mutation invalidates implicitly
         assert cache.get(old) is not None

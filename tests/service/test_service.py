@@ -1,5 +1,8 @@
 """QueryService facade: execution, caching, cancellation, governance."""
 
+import json
+import sys
+import threading
 import time
 
 import pytest
@@ -21,6 +24,26 @@ def make_service(**overrides) -> QueryService:
 
 EDGE_QUERY = ('graph P { node u1 <label="L001">; node u2 <label="L002">; '
               'edge e1 (u1, u2); }')
+
+#: texts admission must reject, with the code of the first finding: an
+#: analyzer error, and two compile errors the analyzer cannot see
+INVALID_QUERIES = (
+    ("graph P { node v1; } where Q.x > 1", "GQL001"),
+    ("graph P { node u1 <label=1+1>; }", "GQL000"),
+    ("graph P { node u1; node u2; unify u1, u2 where u1.x > 1; }", "GQL000"),
+)
+
+
+def library_rows(service: QueryService, text: str):
+    """The rows a direct ``database.match`` gives, in a stable order."""
+    reports = service.database.match("data", text)
+    rows = [{"graph": name, "nodes": dict(m.nodes), "edges": dict(m.edges)}
+            for name, report in reports.items() for m in report.mappings]
+    return sorted_rows(rows)
+
+
+def sorted_rows(rows):
+    return sorted(rows, key=lambda row: json.dumps(row, sort_keys=True))
 
 
 def dense_service(**overrides) -> QueryService:
@@ -136,16 +159,72 @@ class TestResultCache:
             assert service.metrics.result_cache_hits == 0
 
 
-class TestPlanCache:
-    def test_prepared_query_replays_the_search_order(self):
+class TestPreparedQuery:
+    def test_write_between_two_requests_reuses_prepared(
+            self, monkeypatch):
+        from repro.analysis import analyzer
+        from repro.lang import compiler, parser
+        from repro.service import cache
+
+        parsed = []
+        # every module that can parse a pattern text counts into one list
+        for module in (cache, compiler, analyzer):
+            monkeypatch.setattr(
+                module, "parse_graph_decl",
+                lambda text: parsed.append(text) or parser.parse_graph_decl(
+                    text))
         with make_service() as service:
-            cold = service.execute(EDGE_QUERY, use_cache=True)
-            # drop only the result entries so execution happens again
-            service.result_cache.invalidate()
-            warm = service.execute(EDGE_QUERY)
-            assert warm.cache == "miss"
-            assert warm.results == cold.results
-            assert service.metrics.plan_cache_hits == 1
+            first = service.execute(EDGE_QUERY)
+            before = service.stats()["plan_cache"]
+            graph = service.database.doc("data")[0]
+            anchor = next(node.id for node in graph.nodes()
+                          if node.get("label") == "L001")
+            graph.add_node("fresh", label="L002")
+            graph.add_edge(anchor, "fresh")  # bumps Graph.version
+            second = service.execute(EDGE_QUERY)
+            after = service.stats()["plan_cache"]
+            assert second.cache == "miss"  # the result cache missed...
+            assert service.metrics.result_cache_hits == 0
+            assert after["hits"] == before["hits"] + 1  # ...the text did not
+            assert after["misses"] == before["misses"]
+            assert parsed == [EDGE_QUERY]
+            assert sorted_rows(second.results) == library_rows(
+                service, EDGE_QUERY)
+            assert len(second.results) > len(first.results)
+
+    def test_concurrent_matches_share_one_compiled_pattern(self):
+        text = ('graph P { node u1 <label="L001">; node u2; '
+                'node u3 <label="L003">; edge e1 (u1, u2); '
+                'edge e2 (u2, u3); }')
+        with make_service(workers=4) as service:
+            expected = library_rows(service, text)
+            assert expected
+            # one serial request prepares the text; the eight share it
+            service.execute(text, use_cache=False)
+            start = threading.Barrier(8)
+            responses = [None] * 8
+
+            def run(index: int) -> None:
+                start.wait()
+                responses[index] = service.execute(
+                    text, use_cache=False, client=f"c{index}")
+
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # switch threads mid-match often
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            for response in responses:
+                assert response.outcome.status is Outcome.COMPLETE
+                assert sorted_rows(response.results) == expected
+            assert service.stats()["plan_cache"]["hits"] == 8
 
 
 class TestGovernance:
@@ -215,23 +294,28 @@ class TestAdmission:
             assert_accounted(snap)
 
     def test_invalid_query_never_reaches_the_pool(self):
-        with make_service() as service:
-            service.execute(EDGE_QUERY)  # warm baseline counters
-            before = service.stats()
-            response = service.execute(
-                "graph P { node v1; } where Q.x > 1")
-            assert response.outcome.status is Outcome.REJECTED
-            assert response.outcome.reason == "invalid_query"
-            diags = response.outcome.detail["diagnostics"]
-            assert diags and diags[0]["code"] == "GQL001"
-            assert diags[0]["severity"] == "error"
-            after = service.stats()
-            assert after["invalid_queries"] == before["invalid_queries"] + 1
-            assert after["rejected"] == before["rejected"] + 1
-            assert after["submitted"] == before["submitted"] + 1
-            assert after["admitted"] == before["admitted"]  # never admitted
-            assert after["executed"] == before["executed"]  # no worker burned
-            assert_accounted(after)
+        for text, code in INVALID_QUERIES:
+            with make_service(breaker_threshold=1) as service:
+                service.execute(EDGE_QUERY)  # warm baseline counters
+                before = service.stats()
+                response = service.execute(text)
+                assert response.outcome.status is Outcome.REJECTED, text
+                assert response.outcome.reason == "invalid_query"
+                diags = response.outcome.detail["diagnostics"]
+                assert diags and diags[0]["code"] == code, text
+                assert diags[0]["severity"] == "error"
+                assert diags[0]["line"] == 1  # the position is kept
+                after = service.stats()
+                assert after["invalid_queries"] == (
+                    before["invalid_queries"] + 1)
+                assert after["rejected"] == before["rejected"] + 1
+                assert after["submitted"] == before["submitted"] + 1
+                assert after["admitted"] == before["admitted"]
+                assert after["executed"] == before["executed"]
+                # a one-failure breaker would have opened on a worker error
+                assert service.execute(EDGE_QUERY).outcome.status is (
+                    Outcome.COMPLETE)
+                assert_accounted(after)
 
     def test_accounting_reports_a_miscount(self):
         with make_service() as service:
@@ -257,22 +341,15 @@ class TestAdmission:
                 'graph P { node u1 <label="L001">; node u2 <label="L002">; }')
             assert response.outcome.status is Outcome.COMPLETE
 
-    def test_validation_can_be_disabled(self):
-        with make_service(validate_queries=False) as service:
-            response = service.execute(
-                "graph P { node v1; } where Q.x > 1")
-            # the query reaches a worker and fails there instead
-            assert response.outcome.status is not Outcome.REJECTED
-            assert response.error is not None
-            assert service.stats()["invalid_queries"] == 0
-
     def test_validation_verdicts_are_cached(self):
         with make_service() as service:
             bad = "graph P { node v1; } where Q.x > 1"
             service.execute(bad)
             service.execute(bad)
-            assert service.stats()["invalid_queries"] == 2
-            assert service._validation_cache.hits >= 1
+            snap = service.stats()
+            assert snap["invalid_queries"] == 2
+            assert snap["plan_cache"]["misses"] == 1
+            assert snap["plan_cache"]["hits"] == 1
 
     def test_stats_snapshot_shape(self):
         with make_service() as service:
