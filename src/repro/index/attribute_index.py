@@ -119,9 +119,11 @@ class AttributeIndexSet:
 
 
 def _typed_key(value: Any) -> Tuple[str, Any]:
-    """Make keys totally ordered even across value types."""
-    if isinstance(value, bool):
-        return ("bool", value)
+    """Make keys totally ordered even across value types.
+
+    Numbers share one key space, booleans included: the matcher compares
+    with ``==``, and ``True == 1 == 1.0``.
+    """
     if isinstance(value, (int, float)):
         return ("num", value)
     return (type(value).__name__, value)

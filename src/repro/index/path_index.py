@@ -19,8 +19,9 @@ data path with the same labels, so counts can only grow) and approximate
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
@@ -102,24 +103,63 @@ def pattern_features(
 
     Only paths whose nodes all carry a declarative label constraint
     contribute (an unconstrained node matches anything and cannot prune).
+    Against *directed* data a pattern edge ``(u, v)`` only matches a data
+    edge ``u -> v``, so paths then follow the edges' declared direction,
+    exactly as :func:`enumerate_label_paths` follows out-edges.
     """
     motif = pattern.motif
-    constrained = {
-        name: motif.node(name).attrs[label_attr]
-        for name in motif.node_names()
-        if label_attr in motif.node(name).attrs
-    }
-
-    def neighbors(name: str) -> List[str]:
-        return [n for n in motif.neighbors(name) if n in constrained]
+    constrained = {}
+    for name in motif.node_names():
+        label = motif.node(name).attrs.get(label_attr)
+        if label is not None:
+            constrained[name] = label
+    adjacent: Dict[str, Dict[str, None]] = {name: {} for name in constrained}
+    for edge in motif.edges():
+        source, target = edge.source, edge.target
+        if source != target and source in constrained and target in constrained:
+            adjacent[source][target] = None
+            if not directed:
+                adjacent[target][source] = None
 
     return _enumerate_paths(
         list(constrained),
-        neighbors,
+        adjacent.__getitem__,
         constrained.__getitem__,
         max_length,
         directed,
     )
+
+
+def _needs(required: Counter, directed: bool) -> List[Tuple]:
+    """A pattern's requirements as ``(feature, reverse, count)`` checks.
+
+    An undirected path is stored under one orientation of its label
+    sequence, chosen by type name and text, so equal labels of different
+    types (``1``, ``1.0``, ``True``) may pick different orientations in
+    the data and in the pattern.  Counting both orientations of a
+    non-palindromic feature (``reverse`` is ``None`` otherwise) makes the
+    test depend on label equality alone, which is what the matcher
+    compares.  Longer paths are rarer, so they are checked first.
+    """
+    needs = []
+    for feature, count in required.items():
+        reverse = None if directed else feature[::-1]
+        needs.append((feature, None if reverse == feature else reverse,
+                      count))
+    needs.sort(key=lambda need: -len(need[0]))
+    return needs
+
+
+def _covers(features: Counter, needs: List[Tuple]) -> bool:
+    """Whether a graph's path counts meet every check of :func:`_needs`."""
+    get = features.get
+    for feature, reverse, count in needs:
+        have = get(feature, 0)
+        if reverse is not None:
+            have += get(reverse, 0)
+        if have < count:
+            return False
+    return True
 
 
 class PathIndexStats:
@@ -144,8 +184,21 @@ class PathIndexStats:
         )
 
 
+class _Snapshot(NamedTuple):
+    """The graphs an index last saw, their versions and their features."""
+
+    graphs: Tuple[Graph, ...]
+    versions: Tuple[int, ...]
+    features: Tuple[Counter, ...]
+
+
 class PathIndex:
-    """A GraphGrep-style filter index over a collection of small graphs."""
+    """A GraphGrep-style filter index over a collection of small graphs.
+
+    The index follows the collection: each query first re-enumerates the
+    graphs whose :attr:`Graph.version` moved or that were appended since
+    the last refresh, reusing every other graph's features.
+    """
 
     def __init__(
         self,
@@ -156,16 +209,35 @@ class PathIndex:
         self.collection = collection
         self.max_length = max_length
         self.label_fn = label_fn
-        self._directed = any(g.directed for g in collection)
-        self._features: List[Counter] = [
-            enumerate_label_paths(graph, max_length, label_fn)
-            for graph in collection
-        ]
-        # inverted index: feature -> graph positions containing it
-        self._inverted: Dict[PathFeature, List[int]] = {}
-        for position, counter in enumerate(self._features):
-            for feature in counter:
-                self._inverted.setdefault(feature, []).append(position)
+        self._snapshot = _Snapshot((), (), ())
+        self.refresh()
+
+    def refresh(self) -> bool:
+        """Catch up with edits and appends; returns whether any were seen.
+
+        Concurrent readers may race here: each builds a complete new
+        snapshot and publishes it with one assignment, and no published
+        snapshot or feature counter is ever mutated, so a reader sees
+        either the old state or a new one, never a mix.
+        """
+        old = self._snapshot
+        graphs = tuple(self.collection)
+        # read each version before enumerating: an edit racing with the
+        # enumeration leaves an older version behind, so the next refresh
+        # enumerates that graph again
+        versions = tuple([graph.version for graph in graphs])
+        if (versions == old.versions
+                and all(map(operator.is_, graphs, old.graphs))):
+            return False
+        features = tuple(
+            old.features[position]
+            if (position < len(old.graphs) and old.graphs[position] is graph
+                and old.versions[position] == version)
+            else enumerate_label_paths(graph, self.max_length, self.label_fn)
+            for position, (graph, version) in enumerate(zip(graphs, versions))
+        )
+        self._snapshot = _Snapshot(graphs, versions, features)
+        return True
 
     def candidate_positions(
         self,
@@ -174,26 +246,21 @@ class PathIndex:
         stats: Optional[PathIndexStats] = None,
     ) -> List[int]:
         """Collection positions that may contain the pattern."""
-        required = pattern_features(pattern, self.max_length, label_attr,
-                                    self._directed)
+        self.refresh()
+        snapshot = self._snapshot
+        needs = {
+            directed: _needs(pattern_features(pattern, self.max_length,
+                                              label_attr, directed), directed)
+            for directed in {graph.directed for graph in snapshot.graphs}
+        }
+        candidates = [
+            position
+            for position, (graph, features) in enumerate(
+                zip(snapshot.graphs, snapshot.features))
+            if _covers(features, needs[graph.directed])
+        ]
         if stats is not None:
-            stats.collection_size = len(self.collection)
-        if not required:
-            candidates = list(range(len(self.collection)))
-        else:
-            # start from the rarest feature's posting list
-            rarest = min(
-                required, key=lambda f: len(self._inverted.get(f, ()))
-            )
-            candidates = [
-                position
-                for position in self._inverted.get(rarest, [])
-                if all(
-                    self._features[position][feature] >= count
-                    for feature, count in required.items()
-                )
-            ]
-        if stats is not None:
+            stats.collection_size = len(snapshot.graphs)
             stats.candidates = len(candidates)
         return candidates
 
@@ -215,8 +282,9 @@ class PathIndex:
         return result
 
     def __repr__(self) -> str:
+        snapshot = self._snapshot
         return (
-            f"PathIndex(graphs={len(self.collection)}, "
+            f"PathIndex(graphs={len(snapshot.graphs)}, "
             f"max_length={self.max_length}, "
-            f"features={len(self._inverted)})"
+            f"features={len(set().union(*snapshot.features))})"
         )

@@ -9,18 +9,22 @@ end-to-end.
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Set, Union
 
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.pattern import GraphPattern, GroundPattern
 from ..lang.compiler import compile_pattern_text, compile_program
 from ..matching.planner import GraphMatcher, MatchOptions, MatchReport
-from ..runtime import ExecutionContext
+from ..obs.trace import span as trace_span
+from ..runtime import ExecutionContext, current_outcome
 from .graphstore import GraphStore
 from .serializer import _atomic_write_text, load_collection, save_collection
 from .wal import RecoveryResult
+
+logger = logging.getLogger(__name__)
 
 
 class GraphDatabase:
@@ -180,22 +184,29 @@ class GraphDatabase:
 
         Returns one :class:`MatchReport` per graph, keyed by graph name
         (or positional index when unnamed).  Pattern text is compiled on
-        the fly.  A *context* is shared by the per-graph searches: once
-        it trips, remaining graphs are skipped and each produced report
-        carries the outcome snapshot at the time it finished.
+        the fly.  Big collections are filtered first (see
+        :meth:`_admitted`): the pipeline runs only on the graphs the path
+        index admits, and every other graph gets an empty report under
+        its usual key.  A *context* is shared by the per-graph searches:
+        once it trips, remaining graphs are skipped and each produced
+        report carries the outcome snapshot at the time it finished.
         """
         if isinstance(pattern, str):
             pattern = compile_pattern_text(pattern)
+        label_attr = (options or MatchOptions()).label_attr
+        admitted = self._admitted(document, pattern, label_attr)
         reports: Dict[str, MatchReport] = {}
         for position, graph in enumerate(self.doc(document)):
             if context is not None and context.is_interrupted:
                 break
-            matcher = self.matcher_for(graph)
-            if isinstance(pattern, GroundPattern):
-                report = matcher.match(pattern, options, context=context)
+            if admitted is not None and position not in admitted:
+                report = MatchReport(outcome=current_outcome(context))
+            elif isinstance(pattern, GroundPattern):
+                report = self.matcher_for(graph).match(pattern, options,
+                                                       context=context)
             else:
-                report = matcher.match_pattern(pattern, options,
-                                               context=context)
+                report = self.matcher_for(graph).match_pattern(
+                    pattern, options, context=context)
             reports[graph.name or f"#{position}"] = report
         return reports
 
@@ -204,6 +215,8 @@ class GraphDatabase:
 
         Only collections of at least :data:`COLLECTION_INDEX_THRESHOLD`
         graphs are indexed; smaller ones return ``None`` (scanning wins).
+        The index itself catches up with graphs edited or appended since
+        it last ran; re-registering the document builds a new one.
         """
         from ..index.path_index import PathIndex
 
@@ -216,6 +229,44 @@ class GraphDatabase:
             self._collection_indexes[document] = index
         return index
 
+    def _admitted(
+        self,
+        document: str,
+        pattern: Union[GraphPattern, GroundPattern],
+        label_attr: str = "label",
+    ) -> Optional[Set[int]]:
+        """The filter of filter+verify, shared by :meth:`match` and
+        :meth:`select`.
+
+        Returns the positions of the document's graphs that may contain
+        the pattern: the union of the path index's candidates over the
+        pattern's ground derivations.  ``None`` means "scan every graph":
+        the collection is below the index threshold, labels are read from
+        another attribute than the ``label`` the index enumerates, or the
+        index could not be built or queried.
+        """
+        if label_attr != "label":
+            return None
+        try:
+            index = self.collection_index_for(document)
+            if index is None:
+                return None
+            with trace_span("match.filter") as sp:
+                grounds = ([pattern] if isinstance(pattern, GroundPattern)
+                           else pattern.ground())
+                admitted: Set[int] = set()
+                for ground in grounds:
+                    admitted.update(index.candidate_positions(ground,
+                                                              label_attr))
+                sp.annotate(collection=len(index.collection),
+                            candidates=len(admitted))
+        except Exception:
+            # a broken index costs speed, never the answer
+            logger.warning("path index of %r failed; scanning", document,
+                           exc_info=True)
+            return None
+        return admitted
+
     def select(
         self,
         document: str,
@@ -225,36 +276,25 @@ class GraphDatabase:
     ) -> GraphCollection:
         """σ_P over a document, using filter+verify for big collections.
 
-        Small collections (and patterns without label constraints) fall
-        back to a plain scan; results are identical either way.  When the
-        collection path index cannot be built (e.g. a storage fault), the
-        selection degrades to the plain scan instead of failing.
+        The answer is :func:`repro.core.algebra.select` over the document,
+        run on the graphs :meth:`_admitted` keeps; small collections (and
+        patterns without label constraints) are scanned whole, with
+        identical results either way.  When the collection path index
+        cannot be built (e.g. a storage fault), the selection degrades to
+        the plain scan instead of failing.
         """
         from ..core.algebra import select as scan_select
 
         if isinstance(pattern, str):
             pattern = compile_pattern_text(pattern)
-        if isinstance(pattern, GraphPattern):
-            grounds = pattern.ground()
-        else:
-            grounds = [pattern]
-        try:
-            index = self.collection_index_for(document)
-        except Exception:
-            index = None
-        if index is None:
-            out = GraphCollection()
-            for ground in grounds:
-                out.extend(scan_select(self.doc(document), ground,
-                                       exhaustive=exhaustive,
-                                       context=context))
-            return out
-        out = GraphCollection()
-        for ground in grounds:
-            if context is not None and context.is_interrupted:
-                break
-            out.extend(index.select(ground, exhaustive=exhaustive))
-        return out
+        collection = self.doc(document)
+        admitted = self._admitted(document, pattern)
+        if admitted is not None:
+            collection = GraphCollection(
+                [graph for position, graph in enumerate(collection)
+                 if position in admitted])
+        return scan_select(collection, pattern, exhaustive=exhaustive,
+                           context=context)
 
     # -- full query execution ------------------------------------------------------------
 

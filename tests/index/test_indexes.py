@@ -103,6 +103,18 @@ class TestAttributeIndexSet:
         assert index.lookup_eq("code", 1) == ["a"]
         assert index.lookup_eq("code", "1") == ["b"]
 
+    def test_equal_numbers_share_a_key_across_types(self):
+        # the matcher compares with ==, and True == 1 == 1.0
+        g = Graph()
+        g.add_node("t", code=True)
+        g.add_node("f", code=0.0)
+        g.add_node("s", code="1")
+        index = AttributeIndexSet(g)
+        assert index.lookup_eq("code", 1) == ["t"]
+        assert index.lookup_eq("code", 1.0) == ["t"]
+        assert index.lookup_eq("code", False) == ["f"]
+        assert sorted(index.lookup_range("code", low=0, high=1)) == ["f", "t"]
+
 
 class TestProfileIndex:
     def test_profiles_match_direct_computation(self, paper_graph):

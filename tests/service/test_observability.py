@@ -57,6 +57,34 @@ class TestRequestTracing:
         finally:
             service.shutdown(timeout=0)
 
+    def test_collection_requests_trace_the_filter(self):
+        from repro.datasets import molecule_collection
+
+        service = make_service()
+        service.register("mols", molecule_collection(40, seed=5))
+        collector = SpanCollector()
+        try:
+            with tracer().session(collector):
+                response = service.submit(QueryRequest(
+                    document="mols", request_id="f1",
+                    query=('graph P { node a <label="C">; '
+                           'node b <label="O">; edge e (a, b); }'))).result()
+            assert response.error is None and response.results
+            root = request_roots(collector)[0]
+            in_tree = [s for s in collector.spans
+                       if s.trace_id == root.trace_id]
+            (filtered,) = [s for s in in_tree if s.name == "match.filter"]
+            (execute,) = [s for s in in_tree if s.name == "service.execute"]
+            assert filtered.parent_id == execute.span_id
+            assert filtered.tags["collection"] == 40
+            # one ground derivation: one match.query per admitted graph
+            matched = [s for s in in_tree if s.name == "match.query"]
+            assert 0 < filtered.tags["candidates"] == len(matched) < 40
+            answered = {row["graph"] for row in response.results}
+            assert len(answered) <= len(matched)
+        finally:
+            service.shutdown(timeout=0)
+
     def test_cache_hit_requests_skip_the_execute_span(self):
         service = make_service()
         collector = SpanCollector()
