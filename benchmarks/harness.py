@@ -26,6 +26,7 @@ from repro.datasets.queries import (
     seeded_clique_query,
 )
 from repro.matching import GraphMatcher, MatchOptions, baseline_options
+from repro.matching.planner import STAGES
 from repro.obs.trace import SpanCollector, tracer
 from repro.runtime import ExecutionContext, Outcome
 from repro.sqlbaseline import SQLGraphMatcher, WorkBudgetExceeded
@@ -243,11 +244,12 @@ def measure_query(
             report = matcher.match(query, options, context=context)
         result.outcomes[name] = report.outcome.status
         # per-phase timings come from the spans the matcher emitted; the
-        # report's own stopwatch is the fallback if none were collected
+        # report's own stopwatch, under the same span names, is the
+        # fallback if none were collected
         totals = collector.totals()
+        spans = dict(STAGES)
         result.phases[name] = totals if totals else {
-            f"match.{phase}": seconds
-            for phase, seconds in report.times.items()
+            spans[key]: seconds for key, seconds in report.times.items()
         }
         return report
 

@@ -9,7 +9,8 @@ Scope checks
     ``GQL001`` (error) — a dotted reference whose root is not bound by
     any pattern element, member alias, export, FLWR binding or earlier
     statement; also template parameters no environment name satisfies
-    (a guaranteed runtime failure) and anonymous for-clause patterns.
+    (a guaranteed runtime failure), edge end points that name no
+    declared node, and anonymous for-clause patterns.
     ``GQL002`` (warning) — a binding shadowing an earlier one that was
     already used.  ``GQL003`` (hint) — a binding shadowed before it was
     ever used (dead).
@@ -194,11 +195,6 @@ def _decl_names(decl: GraphDeclAst) -> _DeclNames:
                     for edge in member:
                         if edge.name:
                             names.edges.add(edge.name)
-                        # undeclared simple end points become implicit
-                        # free nodes in the motif namespace
-                        for end in (edge.source, edge.target):
-                            if end and "." not in end:
-                                names.nodes.add(end)
             elif isinstance(member, GraphMemberAst):
                 for ref, alias in member.refs:
                     names.members.add(alias or ref)
@@ -428,6 +424,26 @@ class Analyzer:
                             f"export path {member.path!r} starts at "
                             f"unbound name {root!r}",
                             member)
+                elif isinstance(member, list) and member \
+                        and isinstance(member[0], EdgeDeclAst):
+                    # a simple end point must name a declared node (the
+                    # motif resolves nothing else); a dotted one must
+                    # start at a bound name
+                    for edge in member:
+                        for end in (edge.source, edge.target):
+                            root = end.split(".")[0]
+                            if root == end and end not in names.nodes:
+                                self.emit(
+                                    "GQL001",
+                                    f"edge end point {end!r} names no "
+                                    f"declared node",
+                                    edge)
+                            elif root not in bound:
+                                self.emit(
+                                    "GQL001",
+                                    f"edge end point {end!r} starts at "
+                                    f"unbound name {root!r}",
+                                    edge)
 
         # graph-level where: resolved against the matched graph —
         # pattern elements, members, exports and the pattern name

@@ -3,7 +3,7 @@
 Usage examples::
 
     repro-gql info data.gql
-    repro-gql match data.gql --pattern query.gql [--baseline] [--explain]
+    repro-gql match data.gql --pattern query.gql [--baseline]
     repro-gql match data.gql --pattern query.gql --timeout 1 --max-steps 100000
     repro-gql match data.gql --pattern query.gql --json --trace-out spans.jsonl
     repro-gql explain data.gql --pattern query.gql [--analyze] [--json]
@@ -127,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "terminates early with a TRUNCATED outcome")
     match.add_argument("--show-mappings", type=int, default=5,
                        help="how many mappings to print per graph")
-    match.add_argument("--explain", action="store_true",
-                       help="print the access plan instead of matching")
     match.add_argument("--json", action="store_true",
                        help="emit one JSON document (mappings + outcome + "
                             "per-stage counts and timings, the "
@@ -471,7 +469,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    """``repro-gql match``: match (or explain) a pattern over a data file."""
+    """``repro-gql match``: match a pattern over a data file."""
     collection = load_collection(args.data, directed=args.directed)
     pattern_text = Path(args.pattern).read_text(encoding="utf-8")
     pattern = compile_pattern_text(pattern_text)
@@ -479,13 +477,6 @@ def cmd_match(args: argparse.Namespace) -> int:
     database.register("data", collection)
     options = (baseline_options(limit=args.limit) if args.baseline
                else optimized_options(limit=args.limit))
-    if args.explain:
-        for position, graph in enumerate(collection):
-            matcher = database.matcher_for(graph)
-            for ground in (pattern.ground()
-                           if hasattr(pattern, "ground") else [pattern]):
-                print(matcher.explain(ground, options))
-        return 0
     # the answer cap is part of the context so the cap terminates the
     # search from the inside (TRUNCATED) instead of slicing afterwards
     context = ExecutionContext(

@@ -37,6 +37,11 @@ class SearchCounters:
             f"results={self.results})"
         )
 
+    def add(self, other: "SearchCounters") -> None:
+        """Add *other*'s counts to these (one total over several runs)."""
+        for slot in self.__slots__:
+            setattr(self, slot, getattr(self, slot) + getattr(other, slot))
+
 
 def scan_feasible_mates(pattern: GroundPattern, graph: Graph) -> Dict[str, List[str]]:
     """Feasible mates by full scan: Phi(u) = {v | F_u(v)} (Definition 4.8)."""

@@ -48,6 +48,19 @@ class RetrievalStats:
             f"after_local={self.after_local})"
         )
 
+    def add(self, other: "RetrievalStats") -> None:
+        """Add *other*'s per-node counts to these (one total over several
+        runs); a node keeps how it was first retrieved."""
+        for mine, theirs in ((self.scanned, other.scanned),
+                             (self.after_fu, other.after_fu),
+                             (self.after_local, other.after_local)):
+            for name, count in theirs.items():
+                mine[name] = mine.get(name, 0) + count
+        for name, used in other.used_index.items():
+            self.used_index.setdefault(name, used)
+        for name, method in other.method.items():
+            self.method.setdefault(name, method)
+
 
 def retrieve_feasible_mates(
     pattern: GroundPattern,

@@ -9,6 +9,9 @@
 4. search-order optimization and the backtracking search (Sections 4.4,
    4.1).
 
+:meth:`GraphMatcher.plan` runs stages 1–3 and the ordering, the only
+code that does; :meth:`GraphMatcher.match` is that plan followed by the
+search, and EXPLAIN (:mod:`repro.obs.explain`) renders the same plan.
 Every stage records its timing and the search-space size it produced in a
 :class:`MatchReport`, which is exactly what the paper's figures plot
 (reduction ratios, per-step times, total times).
@@ -17,16 +20,17 @@ Every stage records its timing and the search-space size it produced in a
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.bindings import Mapping
 from ..core.graph import Graph
 from ..core.pattern import GraphPattern, GroundPattern
 from ..index.attribute_index import AttributeIndexSet
 from ..index.profile_index import ProfileIndex
-from ..obs.trace import span as trace_span
+from ..obs.trace import Span, span as trace_span
 from ..runtime import (
     ExecutionContext,
     ExecutionInterrupted,
@@ -40,6 +44,18 @@ from .search_order import CostModel, connected_order, greedy_order
 from .statistics import GraphStatistics
 
 logger = logging.getLogger(__name__)
+
+#: The pipeline's timed stages in run order: ``MatchReport.times`` key and
+#: the trace span that covers it.  The retrieval is timed as
+#: ``retrieve_baseline`` when no local pruning is configured.
+STAGES = (
+    ("retrieve_baseline", "match.retrieve_baseline"),
+    ("local_pruning", "match.prune"),
+    ("refine", "match.refine"),
+    ("order", "match.order"),
+    ("search", "match.search"),
+)
+_STAGE_SPANS = dict(STAGES)
 
 
 @dataclass
@@ -63,9 +79,44 @@ class MatchOptions:
     limit: Optional[int] = None
     label_attr: str = "label"
     use_attribute_index: bool = True
-    # measure the unpruned space for reduction ratios (benchmark
-    # instrumentation; skip it in latency-sensitive production paths)
+    # report the unpruned space for reduction ratios (read off the
+    # retrieval's F_u counts; no extra work)
     compute_baseline: bool = True
+
+
+@dataclass
+class AccessPlan:
+    """What :meth:`GraphMatcher.plan` chose beyond the report's counts.
+
+    ``sizes`` are the per-node candidate counts the order was chosen on
+    (after refinement), ``policy`` names how the order was chosen
+    (``greedy`` / ``connected`` / ``declaration``) and ``model`` is the
+    cost model it is judged by (None only if building it failed).
+    """
+
+    sizes: Dict[str, int]
+    policy: str
+    model: Optional[CostModel]
+
+
+class _Stage:
+    """Times one pipeline stage: opens its trace span and records
+    ``report.times[key]`` on exit, also when the stage raises."""
+
+    __slots__ = ("times", "key", "span", "started")
+
+    def __init__(self, report: "MatchReport", key: str, **tags) -> None:
+        self.times = report.times
+        self.key = key
+        self.span = trace_span(_STAGE_SPANS[key], **tags)
+
+    def __enter__(self) -> Span:
+        self.started = time.perf_counter()
+        return self.span.__enter__()
+
+    def __exit__(self, *exc_info) -> bool:
+        self.times[self.key] = time.perf_counter() - self.started
+        return self.span.__exit__(*exc_info)
 
 
 @dataclass
@@ -91,6 +142,7 @@ class MatchReport:
     mappings: List[Mapping] = field(default_factory=list)
     degradation: List[str] = field(default_factory=list)
     outcome: QueryOutcome = field(default_factory=QueryOutcome)
+    plan: Optional[AccessPlan] = None
 
     @property
     def total_time(self) -> float:
@@ -103,6 +155,21 @@ class MatchReport:
             return 0.0
         size = self.refined_space if stage == "refined" else self.retrieved_space
         return size / self.baseline_space
+
+    def absorb(self, other: "MatchReport") -> None:
+        """Fold another derivation's run into this one: mappings are
+        appended; times, spaces and counters are summed."""
+        self.mappings.extend(other.mappings)
+        for key, value in other.times.items():
+            self.times[key] = self.times.get(key, 0.0) + value
+        self.baseline_space += other.baseline_space
+        self.retrieved_space += other.retrieved_space
+        self.refined_space += other.refined_space
+        self.retrieval = _summed(self.retrieval, other.retrieval)
+        self.refinement = _summed(self.refinement, other.refinement)
+        self.search = _summed(self.search, other.search)
+        self.degradation.extend(other.degradation)
+        self.outcome = other.outcome
 
     def stats_dict(self) -> Dict[str, object]:
         """JSON-ready per-stage statistics (counts, timings, order).
@@ -140,6 +207,14 @@ class MatchReport:
                 "results": search.results,
             } if search is not None else None),
         }
+
+
+def _summed(mine, other):
+    """*mine* with *other*'s counters added (either may be None)."""
+    if mine is None or other is None:
+        return mine if other is None else other
+    mine.add(other)
+    return mine
 
 
 class GraphMatcher:
@@ -211,30 +286,21 @@ class GraphMatcher:
         options: Optional[MatchOptions] = None,
         context: Optional[ExecutionContext] = None,
     ) -> MatchReport:
-        """Run the full access-method pipeline on one ground pattern.
+        """Run the full access-method pipeline on one ground pattern:
+        :meth:`plan`, then the backtracking search.
 
         With a *context*, every stage is governed: deadline expiry, step
         budget exhaustion or cancellation stop the run, the interruption
         is recorded on the context, and the report carries a structured
         :class:`~repro.runtime.QueryOutcome` plus whatever mappings the
-        search had produced.  Failures of auxiliary structures (indexes,
-        statistics, refinement) never abort the query: the planner walks
-        a degradation ladder — indexed retrieval, then on-the-fly local
-        pruning, then the basic scan matcher — and records each step
-        taken in ``report.degradation``.
+        search had produced.
         """
         opts = options or MatchOptions()
         report = MatchReport()
         with trace_span("match.query", graph=self.graph.name or "<anon>") as sp:
             try:
-                self.refresh()
-            except Exception as exc:
-                self._degrade(report, f"index refresh failed ({exc}); "
-                                      "matching with stale structures")
-            for message in getattr(self, "build_errors", ()):
-                report.degradation.append(message)
-            try:
-                self._match_pipeline(pattern, opts, report, context)
+                space = self.plan(pattern, opts, report, context)
+                self._search(pattern, opts, report, space, context)
             except ExecutionInterrupted as exc:
                 if context is None:
                     raise
@@ -248,140 +314,119 @@ class GraphMatcher:
         report.degradation.append(message)
         logger.warning("%r: %s", self.graph, message)
 
-    def _retrieve(
+    def plan(
         self,
         pattern: GroundPattern,
         opts: MatchOptions,
         report: MatchReport,
-        local: str,
-        stats: Optional[RetrievalStats] = None,
+        context: Optional[ExecutionContext] = None,
     ) -> Dict[str, List[str]]:
-        """One retrieval attempt, walking the degradation ladder on error.
+        """Every stage but the search: the one access plan of a pattern.
 
-        Rung 0: configured indexes.  Rung 1: no indexes — the exact F_u
-        scan with local pruning computed on the fly.  Rung 2: the basic
-        matcher's full scan (no pruning at all).  Interruptions from the
-        governance context always propagate.
+        Refreshes stale indexes, retrieves the feasible mates with local
+        pruning, refines the space and picks the search order, recording
+        each stage's time, counts and the plan itself on *report*;
+        returns the refined search space.  :meth:`match` searches it and
+        EXPLAIN renders the report, so what is explained is what runs.
+
+        Failures of auxiliary structures (indexes, statistics,
+        refinement) never abort the query: retrieval walks a degradation
+        ladder — indexed, then unindexed with local pruning computed on
+        the fly, then the basic matcher's scan — and every fallback is
+        noted in ``report.degradation``.  Interruptions from the
+        governance *context* propagate, leaving on *report* whatever the
+        finished stages recorded.
         """
         try:
-            return retrieve_feasible_mates(
-                pattern,
-                self.graph,
-                attribute_index=(
-                    self.attribute_index if opts.use_attribute_index else None
-                ),
-                profile_index=self.profile_index,
-                local=local,
-                radius=opts.radius,
-                label_attr=opts.label_attr,
-                stats=stats,
-            )
-        except ExecutionInterrupted:
-            raise
+            self.refresh()
         except Exception as exc:
-            self._degrade(
-                report,
-                f"indexed retrieval (local={local!r}) failed ({exc}); "
-                "retrying without indexes",
-            )
-        try:
-            return retrieve_feasible_mates(
-                pattern,
-                self.graph,
-                attribute_index=None,
-                profile_index=None,
-                local=local,
-                radius=opts.radius,
-                label_attr=opts.label_attr,
-                stats=stats,
-            )
-        except ExecutionInterrupted:
-            raise
-        except Exception as exc:
-            self._degrade(
-                report,
-                f"unindexed retrieval failed ({exc}); "
-                "falling back to the basic scan matcher",
-            )
-        return scan_feasible_mates(pattern, self.graph)
-
-    def _match_pipeline(
-        self,
-        pattern: GroundPattern,
-        opts: MatchOptions,
-        report: MatchReport,
-        context: Optional[ExecutionContext],
-    ) -> None:
-        graph = self.graph
+            self._degrade(report, f"index refresh failed ({exc}); "
+                                  "matching with stale structures")
+        report.degradation.extend(self.build_errors)
         if context is not None:
             context.check()
 
-        # Step 0: baseline space (retrieval by F_u only) for reduction ratios
-        baseline: Optional[Dict[str, List[str]]] = None
-        if opts.compute_baseline or opts.local == "none":
-            started = time.perf_counter()
-            with trace_span("match.retrieve_baseline") as sp:
-                baseline = self._retrieve(pattern, opts, report, local="none")
-                sp.incr("space", space_size(baseline))
-            report.times["retrieve_baseline"] = time.perf_counter() - started
-            report.baseline_space = space_size(baseline)
-
-        # Step 1+2: retrieval with local pruning
+        # Steps 1+2: F_u retrieval (Definition 4.8) and local pruning
+        key = "retrieve_baseline" if opts.local == "none" else "local_pruning"
+        with _Stage(report, key, local=opts.local) as sp:
+            retrieval: Optional[RetrievalStats] = None
+            for indexed in (True, False):
+                stats = RetrievalStats()
+                try:
+                    space = retrieve_feasible_mates(
+                        pattern,
+                        self.graph,
+                        attribute_index=(
+                            self.attribute_index
+                            if indexed and opts.use_attribute_index else None
+                        ),
+                        profile_index=self.profile_index if indexed else None,
+                        local=opts.local,
+                        radius=opts.radius,
+                        label_attr=opts.label_attr,
+                        stats=stats,
+                    )
+                    retrieval = stats
+                    break
+                except ExecutionInterrupted:
+                    raise
+                except Exception as exc:
+                    self._degrade(report, (
+                        f"indexed retrieval (local={opts.local!r}) failed "
+                        f"({exc}); retrying without indexes" if indexed else
+                        f"unindexed retrieval failed ({exc}); "
+                        "falling back to the basic scan matcher"))
+            else:
+                space = scan_feasible_mates(pattern, self.graph)
+            sp.incr("space", space_size(space))
         if opts.local == "none":
-            assert baseline is not None
-            space = baseline
             report.times["local_pruning"] = 0.0
-        else:
-            started = time.perf_counter()
-            with trace_span("match.prune", local=opts.local) as sp:
-                retrieval_stats = RetrievalStats()
-                space = self._retrieve(pattern, opts, report, local=opts.local,
-                                       stats=retrieval_stats)
-                sp.incr("space", space_size(space))
-            report.times["local_pruning"] = time.perf_counter() - started
-            report.retrieval = retrieval_stats
+        report.retrieval = retrieval
         report.retrieved_space = space_size(space)
+        if opts.compute_baseline or opts.local == "none":
+            # retrieval counted F_u exactly before pruning; the scan
+            # rung prunes nothing, so its space is the baseline
+            report.baseline_space = (
+                math.prod(retrieval.after_fu.values())
+                if retrieval is not None else report.retrieved_space)
 
         # Step 3: joint reduction (Algorithm 4.2)
         if opts.refine:
-            started = time.perf_counter()
-            with trace_span("match.refine") as sp:
-                refinement_stats = RefinementStats()
+            refinement = RefinementStats()
+            with _Stage(report, "refine") as sp:
                 try:
                     space = refine_search_space(
                         pattern.motif,
-                        graph,
+                        self.graph,
                         space,
                         level=opts.refine_level,
-                        stats=refinement_stats,
+                        stats=refinement,
                         context=context,
                     )
+                    report.refinement = refinement
                 except ExecutionInterrupted:
-                    report.times["refine"] = time.perf_counter() - started
                     raise
                 except Exception as exc:
                     self._degrade(report, f"refinement failed ({exc}); "
                                           "searching the unrefined space")
-                sp.incr("pairs_removed", refinement_stats.pairs_removed)
-            report.times["refine"] = time.perf_counter() - started
-            report.refinement = refinement_stats
+                sp.incr("pairs_removed", refinement.pairs_removed)
         report.refined_space = space_size(space)
 
-        # Step 4: search order
-        started = time.perf_counter()
-        with trace_span("match.order") as sp:
+        # Step 4: search order (Section 4.4)
+        with _Stage(report, "order") as sp:
             sizes = {name: len(candidates)
                      for name, candidates in space.items()}
+            model: Optional[CostModel] = None
             try:
+                model = CostModel(
+                    pattern.motif,
+                    stats=(self.stats if opts.gamma_mode == "frequency"
+                           else None),
+                    gamma_const=opts.gamma_const,
+                    label_attr=opts.label_attr,
+                    directed=self.graph.directed,
+                )
                 if opts.optimize_order:
-                    model = CostModel(
-                        pattern.motif,
-                        stats=(self.stats if opts.gamma_mode == "frequency"
-                               else None),
-                        gamma_const=opts.gamma_const,
-                        label_attr=opts.label_attr,
-                        directed=graph.directed,
-                    )
                     order, policy = (
                         greedy_order(pattern.motif, sizes, model), "greedy")
                 else:
@@ -394,9 +439,9 @@ class GraphMatcher:
                     "using declaration order")
                 order, policy = pattern.node_names(), "declaration"
             sp.annotate(policy=policy)
-        report.times["order"] = time.perf_counter() - started
         report.order = order
-        self._search(pattern, opts, report, space, order, context)
+        report.plan = AccessPlan(sizes, policy, model)
+        return space
 
     def _search(
         self,
@@ -404,92 +449,26 @@ class GraphMatcher:
         opts: MatchOptions,
         report: MatchReport,
         space: Dict[str, List[str]],
-        order: Sequence[str],
         context: Optional[ExecutionContext],
     ) -> None:
         # Step 5: the backtracking search (Algorithm 4.1)
-        started = time.perf_counter()
         counters = SearchCounters()
-        with trace_span("match.search") as sp:
+        with _Stage(report, "search") as sp:
             try:
                 report.mappings = find_matches(
                     pattern,
                     self.graph,
                     candidates=space,
-                    order=order,
+                    order=report.order,
                     exhaustive=opts.exhaustive,
                     limit=opts.limit,
                     counters=counters,
                     context=context,
                 )
             finally:
-                report.times["search"] = time.perf_counter() - started
                 report.search = counters
                 sp.incr("results", counters.results)
                 sp.incr("candidates_tried", counters.candidates_tried)
-
-    def explain(
-        self,
-        pattern: GroundPattern,
-        options: Optional[MatchOptions] = None,
-    ) -> str:
-        """A readable access plan: stages, space sizes, order, cost.
-
-        Runs retrieval/pruning/ordering (not the final search) and
-        renders what the pipeline would do — the graph-database analogue
-        of ``EXPLAIN``.
-        """
-        opts = options or MatchOptions()
-        space = retrieve_feasible_mates(
-            pattern, self.graph,
-            attribute_index=self.attribute_index if opts.use_attribute_index
-            else None,
-            profile_index=self.profile_index,
-            local=opts.local, radius=opts.radius,
-            label_attr=opts.label_attr,
-        )
-        lines = [f"match {pattern!r} on {self.graph!r}"]
-        lines.append(
-            f"  1. retrieve + local pruning [{opts.local}]: "
-            + ", ".join(f"{u}:{len(c)}" for u, c in space.items())
-        )
-        if opts.refine:
-            refined = refine_search_space(
-                pattern.motif, self.graph, space, level=opts.refine_level
-            )
-            lines.append(
-                "  2. refine (Algorithm 4.2): "
-                + ", ".join(f"{u}:{len(c)}" for u, c in refined.items())
-            )
-            space = refined
-        else:
-            lines.append("  2. refine: skipped")
-        sizes = {u: len(c) for u, c in space.items()}
-        model = CostModel(
-            pattern.motif,
-            stats=self.stats if opts.gamma_mode == "frequency" else None,
-            gamma_const=opts.gamma_const,
-            label_attr=opts.label_attr,
-            directed=self.graph.directed,
-        )
-        if opts.optimize_order:
-            order = greedy_order(pattern.motif, sizes, model)
-            policy = "greedy cost-based"
-        else:
-            order = connected_order(pattern.motif, sizes)
-            policy = "connected"
-        from .search_order import order_cost
-
-        cost, size = order_cost(order, sizes, model)
-        lines.append(f"  3. search order [{policy}]: {' > '.join(order)}")
-        lines.append(
-            f"     estimated cost {cost:.3g}, estimated results {size:.3g}"
-        )
-        lines.append(
-            f"  4. search (Algorithm 4.1), space size "
-            f"{space_size(space)}"
-        )
-        return "\n".join(lines)
 
     def match_pattern(
         self,
@@ -504,7 +483,9 @@ class GraphMatcher:
         The answer cap (``options.limit``) applies to the union: each
         derivation's search only runs for the answers still missing, and
         matching stops entirely once the cap is met — no derivation ever
-        over-produces results that would then be thrown away.
+        over-produces results that would then be thrown away.  The
+        merged report sums every derivation's times, spaces and
+        counters.
         """
         opts = options or MatchOptions()
         merged: Optional[MatchReport] = None
@@ -519,14 +500,7 @@ class GraphMatcher:
             if merged is None:
                 merged = report
             else:
-                merged.mappings.extend(report.mappings)
-                for key, value in report.times.items():
-                    merged.times[key] = merged.times.get(key, 0.0) + value
-                merged.baseline_space += report.baseline_space
-                merged.retrieved_space += report.retrieved_space
-                merged.refined_space += report.refined_space
-                merged.degradation.extend(report.degradation)
-                merged.outcome = report.outcome
+                merged.absorb(report)
             if context is not None and context.is_interrupted:
                 break
         return merged if merged is not None else MatchReport()

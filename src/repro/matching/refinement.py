@@ -44,6 +44,11 @@ class RefinementStats:
             f"checked={self.pairs_checked}, removed={self.pairs_removed})"
         )
 
+    def add(self, other: "RefinementStats") -> None:
+        """Add *other*'s counts to these (one total over several runs)."""
+        for slot in self.__slots__:
+            setattr(self, slot, getattr(self, slot) + getattr(other, slot))
+
 
 def refine_search_space(
     motif: SimpleMotif,

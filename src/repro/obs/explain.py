@@ -1,11 +1,15 @@
 """EXPLAIN / EXPLAIN ANALYZE for the access-method pipeline.
 
-Renders what the planner will do with a pattern — per-node retrieval
-method (attribute index / label hashtable / scan), estimated vs. actual
-feasible-mate, pruned and refined candidate counts, the chosen search
-order and its cost-model estimates — and, with ``analyze=True``, runs
-the query for real and attaches per-phase timings, search counters and
-the structured outcome.
+Renders the plan :meth:`GraphMatcher.plan` made for a pattern — per-node
+retrieval method (attribute index / label hashtable / scan), estimated
+vs. actual feasible-mate, pruned and refined candidate counts, the
+chosen search order and its cost-model estimates, and any degradation
+the planner took.  With ``analyze=True`` the report rendered is that of
+one real ``matcher.match`` run instead, and per-phase timings, search
+counters and the structured outcome are attached.  Either way the plan
+shown is the plan that runs: nothing here retrieves, refines or orders
+on its own.  Only the estimates (statistics and cost model) are
+computed here, since matching never needs them.
 
 This module sits *above* the matcher (it imports ``repro.matching``), so
 it is deliberately **not** re-exported from ``repro.obs.__init__`` —
@@ -17,16 +21,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..core.pattern import GraphPattern, GroundPattern
-from ..matching.feasible_mates import RetrievalStats, retrieve_feasible_mates
-from ..matching.planner import GraphMatcher, MatchOptions
-from ..matching.refinement import refine_search_space, space_size
-from ..matching.search_order import (
-    CostModel,
-    connected_order,
-    greedy_order,
-    order_cost,
-)
+from ..core.pattern import GroundPattern
+from ..matching.feasible_mates import RetrievalStats
+from ..matching.planner import GraphMatcher, MatchOptions, MatchReport
+from ..matching.search_order import order_cost
 from ..runtime import ExecutionContext
 
 __all__ = ["explain_ground", "explain_document", "render_text"]
@@ -54,50 +52,23 @@ def explain_ground(
 ) -> Dict[str, Any]:
     """The access plan of one ground pattern on one graph, as a dict.
 
-    Always runs retrieval + pruning + refinement + ordering (cheap, no
-    search) to report *actual* candidate counts next to the statistics
-    *estimates*; with ``analyze=True`` additionally runs the full
-    pipeline (search included) under *context* and attaches timings,
-    search counters, degradation notes and the outcome.
+    Without *analyze* only the plan is made (no search runs); with it,
+    the query runs once under *context* and the ``actual`` block holds
+    that run's :meth:`MatchReport.stats_dict`, mapping count and
+    outcome.
     """
     opts = options or MatchOptions(compute_baseline=False)
-    matcher.refresh()
-    graph = matcher.graph
-    retrieval = RetrievalStats()
-    local = opts.local if opts.local != "none" else "none"
-    space = retrieve_feasible_mates(
-        ground, graph,
-        attribute_index=(matcher.attribute_index
-                         if opts.use_attribute_index else None),
-        profile_index=matcher.profile_index,
-        local=local, radius=opts.radius,
-        label_attr=opts.label_attr, stats=retrieval,
-    )
-    retrieved_space = space_size(space)
-    refine_error: Optional[str] = None
-    refined = space
-    if opts.refine:
-        try:
-            refined = refine_search_space(
-                ground.motif, graph, space, level=opts.refine_level)
-        except Exception as exc:
-            refine_error = str(exc)
-            refined = space
-
-    sizes = {name: len(candidates) for name, candidates in refined.items()}
-    model = CostModel(
-        ground.motif,
-        stats=matcher.stats if opts.gamma_mode == "frequency" else None,
-        gamma_const=opts.gamma_const,
-        label_attr=opts.label_attr,
-        directed=graph.directed,
-    )
-    if opts.optimize_order:
-        order, policy = greedy_order(ground.motif, sizes, model), "greedy"
+    if analyze:
+        report = matcher.match(ground, opts, context=context)
     else:
-        order, policy = connected_order(ground.motif, sizes), "connected"
-    cost, estimated_results = order_cost(order, sizes, model)
-
+        report = MatchReport()
+        matcher.plan(ground, opts, report)
+    plan = report.plan
+    sizes = plan.sizes if plan is not None else {}
+    cost = estimated_results = None
+    if plan is not None and plan.model is not None:
+        cost, estimated_results = order_cost(report.order, sizes, plan.model)
+    retrieval = report.retrieval or RetrievalStats()
     nodes: List[Dict[str, Any]] = []
     for name in ground.node_names():
         nodes.append({
@@ -109,48 +80,29 @@ def explain_ground(
             "scanned": retrieval.scanned.get(name, 0),
             "feasible_mates": retrieval.after_fu.get(name, 0),
             "after_pruning": retrieval.after_local.get(name, 0),
-            "refined": len(refined.get(name, ())),
+            "refined": sizes.get(name, 0),
         })
-
-    report: Dict[str, Any] = {
-        "graph": graph.name or "<anon>",
+    entry: Dict[str, Any] = {
+        "graph": matcher.graph.name or "<anon>",
         "pattern_nodes": len(nodes),
         "local": opts.local,
-        "refine": bool(opts.refine) and refine_error is None,
-        "order": list(order),
-        "order_policy": policy,
+        "refine": report.refinement is not None,
+        "order": list(report.order),
+        "order_policy": plan.policy if plan is not None else None,
         "estimated_cost": cost,
         "estimated_results": estimated_results,
         "spaces": {
-            "retrieved": retrieved_space,
-            "refined": space_size(refined),
+            "retrieved": report.retrieved_space,
+            "refined": report.refined_space,
         },
         "nodes": nodes,
+        "degradation": list(report.degradation),
     }
-    if refine_error is not None:
-        report["refine_error"] = refine_error
     if analyze:
-        run = matcher.match(ground, opts, context=context)
-        search = run.search
-        report["actual"] = {
-            "mappings": len(run.mappings),
-            "outcome": run.outcome.to_dict(),
-            "times": dict(run.times),
-            "total_time": run.total_time,
-            "order": list(run.order),
-            "spaces": {
-                "retrieved": run.retrieved_space,
-                "refined": run.refined_space,
-            },
-            "search": ({
-                "candidates_tried": search.candidates_tried,
-                "check_calls": search.check_calls,
-                "partial_states": search.partial_states,
-                "results": search.results,
-            } if search is not None else None),
-            "degradation": list(run.degradation),
-        }
-    return report
+        entry["actual"] = dict(report.stats_dict(),
+                               mappings=len(report.mappings),
+                               outcome=report.outcome.to_dict())
+    return entry
 
 
 def explain_document(
@@ -160,28 +112,43 @@ def explain_document(
     options: Optional[MatchOptions] = None,
     analyze: bool = False,
     context: Optional[ExecutionContext] = None,
-    grammar=None,
-    max_depth: int = 8,
 ) -> Dict[str, Any]:
-    """EXPLAIN a (possibly non-ground) pattern over every graph of a
-    registered document; returns one JSON-ready dict."""
-    grounds: List[GroundPattern]
-    if isinstance(pattern, GraphPattern):
-        grounds = list(pattern.ground(grammar, max_depth))
-    else:
-        grounds = [pattern]
+    """EXPLAIN a (possibly non-ground) pattern over a registered
+    document; returns one JSON-ready dict.
+
+    Lists the graphs ``database.match`` would run the pipeline on — the
+    ones the collection filter admits, out of ``collection`` — with one
+    entry per graph and derivation.
+    """
+    opts = options or MatchOptions(compute_baseline=False)
+    grounds: List[GroundPattern] = (
+        [pattern] if isinstance(pattern, GroundPattern)
+        else list(pattern.ground()))
+    collection = database.doc(document)
+    admitted = database._admitted(document, pattern, opts.label_attr)
     graphs: List[Dict[str, Any]] = []
-    for graph in database.doc(document):
+    for position, graph in enumerate(collection):
+        if context is not None and context.is_interrupted:
+            break
+        if admitted is not None and position not in admitted:
+            continue
         matcher = database.matcher_for(graph)
         for ground in grounds:
-            graphs.append(explain_ground(matcher, ground, options,
+            graphs.append(explain_ground(matcher, ground, opts,
                                          analyze=analyze, context=context))
     return {
         "document": document,
         "analyze": bool(analyze),
         "derivations": len(grounds),
+        "collection": len(collection),
+        "candidates": (len(collection) if admitted is None
+                       else len(admitted)),
         "graphs": graphs,
     }
+
+
+def _estimate(value: Optional[float]) -> str:
+    return "n/a" if value is None else f"{value:.3g}"
 
 
 def render_text(document: Dict[str, Any]) -> str:
@@ -196,6 +163,10 @@ def render_text(document: Dict[str, Any]) -> str:
             f"diagnostic: {diagnostic.get('severity', '?')} "
             f"{diagnostic.get('code', '?')} "
             f"{diagnostic.get('message', '')}{where}")
+    if "collection" in document:  # absent when the text is invalid
+        lines.append(f"document {document['document']}: "
+                     f"{document['candidates']} of "
+                     f"{document['collection']} graph(s) admitted")
     for entry in document.get("graphs", []):
         lines.append(f"graph {entry['graph']}: "
                      f"{entry['pattern_nodes']} pattern node(s), "
@@ -213,11 +184,11 @@ def render_text(document: Dict[str, Any]) -> str:
             f"  search order [{entry['order_policy']}]: "
             + " > ".join(entry["order"]))
         lines.append(
-            f"  estimated cost {entry['estimated_cost']:.3g}, "
-            f"estimated results {entry['estimated_results']:.3g}, "
+            f"  estimated cost {_estimate(entry['estimated_cost'])}, "
+            f"estimated results {_estimate(entry['estimated_results'])}, "
             f"search space {entry['spaces']['refined']}")
-        if entry.get("refine_error"):
-            lines.append(f"  refinement failed: {entry['refine_error']}")
+        for note in entry.get("degradation", ()):
+            lines.append(f"  degraded: {note}")
         actual = entry.get("actual")
         if actual:
             lines.append(
@@ -237,6 +208,4 @@ def render_text(document: Dict[str, Any]) -> str:
                     f"checks={search['check_calls']} "
                     f"states={search['partial_states']} "
                     f"results={search['results']}")
-            for note in actual.get("degradation", ()):
-                lines.append(f"  degraded: {note}")
     return "\n".join(lines)

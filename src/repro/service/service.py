@@ -39,7 +39,6 @@ from typing import (
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.pattern import GraphPattern, GroundPattern
-from ..lang.compiler import compile_pattern_text
 from ..matching.planner import baseline_options, optimized_options
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.slowlog import SlowQueryEntry, SlowQueryLog
@@ -862,21 +861,28 @@ class QueryService:
     ) -> Dict[str, Any]:
         """EXPLAIN [ANALYZE] one query against a registered document.
 
-        Bypasses admission/caching — this is an operator tool, not the
-        serving path.  ``analyze=True`` runs the query for real under a
-        governance context derived from the service defaults.
+        Bypasses admission and the result cache — this is an operator
+        tool, not the serving path — but takes the pattern from the
+        prepared-query cache, so an invalid text is answered with its
+        diagnostics and no plan, as :meth:`submit` rejects it.
+        ``analyze=True`` runs the query for real under a governance
+        context derived from the service defaults.
         """
         from ..analysis import analyze_pattern_text, to_wire
         from ..analysis.schema import schema_for_document
         from ..obs.explain import explain_document  # avoids an import cycle
 
+        prepared, _hit = self.plan_cache.prepare(query_text)
+        if prepared.errors:
+            return {"document": document, "analyze": bool(analyze),
+                    "graphs": [], "diagnostics": list(prepared.errors)}
         request = QueryRequest(query=query_text, document=document,
                                baseline=baseline, limit=limit)
         options = self._options_for(request)
         context = (self.config.derive_context(timeout=timeout)
                    if analyze else None)
         explained = explain_document(
-            self.database, document, compile_pattern_text(query_text),
+            self.database, document, prepared.pattern,
             options, analyze=analyze, context=context)
         # the analyzer's findings ride along (schema-aware: the document
         # is registered, so the observed schema is available for free)

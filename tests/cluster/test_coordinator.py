@@ -96,9 +96,10 @@ def build(shards, replication=1, **kwargs):
 
 
 def test_invalid_query_is_rejected_before_fan_out():
-    # an analyzer error, and two compile errors the analyzer cannot see
+    # analyzer errors, and two compile errors the analyzer cannot see
     invalid = (
         ("graph P { node v1; } where Q.x > 1", "GQL001"),
+        ("graph P { node u1; edge e (u1, u9); }", "GQL001"),
         ("graph P { node u1 <label=1+1>; }", "GQL000"),
         ("graph P { node u1; node u2; unify u1, u2 where u1.x > 1; }",
          "GQL000"),

@@ -103,7 +103,7 @@ class TestRun:
         assert main(["run", str(program), "--doc", "nopath"]) == 2
 
 
-class TestExplainFlag:
+class TestExplainCommand:
     def test_explain_prints_plan(self, triangle_file, tmp_path, capsys):
         pattern = tmp_path / "q.gql"
         pattern.write_text("""
@@ -112,12 +112,19 @@ class TestExplainFlag:
                 edge e1 (u1, u2); edge e2 (u2, u3); edge e3 (u3, u1);
             }
         """)
-        assert main(["match", triangle_file, "--pattern", str(pattern),
-                     "--explain"]) == 0
+        assert main(["explain", triangle_file, "--pattern",
+                     str(pattern)]) == 0
         out = capsys.readouterr().out
         assert "search order" in out
-        assert "Algorithm 4.2" in out
-        assert "Mapping(" not in out  # no search was run
+        assert "refine=on" in out
+        assert "actual:" not in out  # no search was run
+
+    def test_match_has_no_explain_flag(self, triangle_file, tmp_path):
+        pattern = tmp_path / "q.gql"
+        pattern.write_text('graph P { node u1 <label="A">; }')
+        with pytest.raises(SystemExit):
+            main(["match", triangle_file, "--pattern", str(pattern),
+                  "--explain"])
 
 
 @pytest.fixture

@@ -36,11 +36,13 @@ class TestLanguageErrors:
             compile_pattern_text("graph P { node v1 <label=v2.name>; }")
 
     def test_edge_endpoint_typo(self):
-        pattern = compile_pattern_text(
-            "graph P { node v1, v2; edge e1 (v1, v3); }"
-        )
+        text = "graph P { node v1, v2; edge e1 (v1, v3); }"
+        # the analyzer rejects the undeclared end point at compile time
+        with pytest.raises(GraphQLCompileError, match="GQL001"):
+            compile_pattern_text(text)
+        # unchecked, it still fails when the pattern is grounded
         with pytest.raises(MotifError):
-            pattern.ground()
+            compile_pattern_text(text, check=False).ground()
 
     def test_flwr_unknown_doc(self):
         db = GraphDatabase()

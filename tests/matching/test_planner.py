@@ -53,9 +53,14 @@ class TestPipeline:
     def test_times_recorded(self, paper_graph, triangle_pattern):
         matcher = GraphMatcher(paper_graph)
         report = matcher.match(triangle_pattern, optimized_options())
-        for step in ("retrieve_baseline", "local_pruning", "refine",
-                     "order", "search"):
+        for step in ("local_pruning", "refine", "order", "search"):
             assert step in report.times
+        # the one retrieval counts F_u: no second, baseline retrieval runs
+        assert "retrieve_baseline" not in report.times
+        assert report.baseline_space == 8
+        baseline = matcher.match(triangle_pattern, baseline_options())
+        assert {"retrieve_baseline", "local_pruning", "order",
+                "search"} <= set(baseline.times)
         assert report.total_time >= 0
 
     def test_limit(self, paper_graph):
@@ -104,3 +109,29 @@ class TestRecursivePatterns:
         labels = {paper_graph.node(m.nodes["u"]).label for m in report.mappings}
         assert labels == {"A", "C"}
         assert len(report.mappings) == 4
+
+    def test_merged_report_sums_every_derivation(self, paper_graph):
+        from repro.core.motif import Disjunction
+
+        blocks = []
+        for label in ("A", "B", "C"):
+            block = MotifBlock()
+            block.add_node("u", attrs={"label": label})
+            block.add_node("v")
+            block.add_edge("u", "v")
+            blocks.append(block)
+        pattern = GraphPattern(Disjunction(blocks), name="XtoAny")
+        matcher = GraphMatcher(paper_graph)
+        report = matcher.match_pattern(pattern)
+        runs = [matcher.match(ground) for ground in pattern.ground()]
+        assert len(runs) == 3
+        assert len(report.mappings) == sum(len(r.mappings) for r in runs)
+        assert report.search.results == len(report.mappings)
+        for key in ("candidates_tried", "check_calls", "partial_states"):
+            assert getattr(report.search, key) == sum(
+                getattr(r.search, key) for r in runs), key
+        assert report.refinement.pairs_checked == sum(
+            r.refinement.pairs_checked for r in runs)
+        assert report.retrieval.after_fu == {
+            "u": sum(r.retrieval.after_fu["u"] for r in runs),
+            "v": sum(r.retrieval.after_fu["v"] for r in runs)}

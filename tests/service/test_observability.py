@@ -275,6 +275,25 @@ class TestWireOps:
             server.server_close()
             service.shutdown(timeout=0)
 
+    def test_explain_answers_an_invalid_text_with_diagnostics(self):
+        service, server = self.make_server()
+        try:
+            for text, code in (("graph P { node u1 <label=1+1>; }", "GQL000"),
+                               ("graph P { node u1; edge e (u1, u9); }",
+                                "GQL001")):
+                reply = self.call(server, {"op": "explain", "id": "e2",
+                                           "query": text, "analyze": True})
+                assert reply["ok"], reply
+                document = reply["explain"]
+                assert document["graphs"] == []
+                assert document["diagnostics"][0]["code"] == code
+            # the text was prepared once, by the shared cache
+            assert service.stats()["plan_cache"]["size"] == 2
+            assert service.stats()["executed"] == 0
+        finally:
+            server.server_close()
+            service.shutdown(timeout=0)
+
     def test_stats_formats_over_the_wire(self):
         service, server = self.make_server()
         try:

@@ -31,6 +31,8 @@ INVALID_QUERIES = (
     ("graph P { node v1; } where Q.x > 1", "GQL001"),
     ("graph P { node u1 <label=1+1>; }", "GQL000"),
     ("graph P { node u1; node u2; unify u1, u2 where u1.x > 1; }", "GQL000"),
+    # an edge to an undeclared node only fails when grounded
+    ("graph P { node u1; edge e (u1, u9); }", "GQL001"),
 )
 
 
